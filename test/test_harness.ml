@@ -290,6 +290,44 @@ let test_bandit_byte_identical_across_jobs () =
   check_bool "jobs=4 byte-identical to jobs=1" true (observe 4 = reference)
 
 (* ------------------------------------------------------------------ *)
+(* Campaign digests: one golden line per approach pins the fixed-seed
+   outcome signature, the ordered trace bytes and the case archive
+   bytes. Cross-run drills compare two runs of the same build; this
+   compares against the committed bytes, so a refactor that moves a
+   draw or an event anywhere in any approach shows up here. *)
+
+let digest_seed = 20250704
+
+let campaign_digest_line approach =
+  with_tmpdir ~prefix:"llm4fp-digest" @@ fun root ->
+  let outcome, trace, arch =
+    run_traced_campaign ~budget:20 ~jobs:1 ~seed:digest_seed ~approach ~root ()
+  in
+  let incons, comps, successful, failures, sim =
+    Harness.Campaign.signature outcome
+  in
+  let archive =
+    String.concat ""
+      (List.map
+         (fun (name, body) ->
+           Printf.sprintf "%s\n%d\n%s" name (String.length body) body)
+         (archive_bytes arch))
+  in
+  Printf.sprintf "%s incons=%d comparisons=%d successful=%d failures=%d \
+                  sim=%h trace=%s archive=%s"
+    (Harness.Approach.name approach)
+    incons comps successful failures sim
+    (Digest.to_hex (Digest.string (read_file trace)))
+    (Digest.to_hex (Digest.string archive))
+
+let test_campaign_digests_golden () =
+  let approaches =
+    Array.to_list Harness.Approach.all @ [ Harness.Approach.Bandit ]
+  in
+  check_golden "campaign digests" ~golden:"golden/campaign_digests.txt"
+    (String.concat "" (List.map (fun a -> campaign_digest_line a ^ "\n") approaches))
+
+(* ------------------------------------------------------------------ *)
 (* Fleet shard invariance: the distributed-campaign acceptance drill.
 
    For every shard count N the fleet must produce the byte-identical
@@ -443,6 +481,11 @@ let () =
             test_bandit_byte_identical_across_jobs;
           Alcotest.test_case "fleet shard invariance" `Slow
             test_fleet_bandit_invariance;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "campaign digests per approach" `Slow
+            test_campaign_digests_golden;
         ] );
       ( "engine",
         [
