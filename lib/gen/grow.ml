@@ -15,10 +15,25 @@ open Lang
 (* ------------------------------------------------------------------ *)
 (* Individual growth moves. Each returns [None] when it finds no
    applicable site; RNG draws happen only after applicability is
-   established, so inapplicable movers are draw-free. *)
+   established, so inapplicable movers are draw-free. The one exception
+   is [wrap_in_loop]'s trip-count cap, which depends on its draws. *)
+
+(* The largest product of loop bounds along any nesting path through
+   [s]: how often its innermost statement runs per execution of [s]. *)
+let rec trip_product (s : Ast.stmt) =
+  match s with
+  | Ast.Decl _ | Ast.Assign _ -> 1
+  | Ast.If { body; _ } -> body_trip_product body
+  | Ast.For { bound; body; _ } -> bound * body_trip_product body
+
+and body_trip_product body =
+  List.fold_left (fun acc s -> max acc (trip_product s)) 1 body
 
 (* Inverse of loop-body splicing: wrap the k-th top-level statement in a
-   small fresh [For]. *)
+   small fresh [For]. The validator caps each loop's bound but not the
+   product of a nest's bounds, so the move gives up (after its draws)
+   when the wrapped nest would run more than
+   {!Analysis.Validate.max_loop_bound} times in total. *)
 let wrap_in_loop rng (p : Ast.program) =
   match p.body with
   | [] -> None
@@ -26,12 +41,17 @@ let wrap_in_loop rng (p : Ast.program) =
     let k = Util.Rng.int rng (List.length body) in
     let var = Ast.fresh_name p "g" in
     let bound = Util.Rng.int_in rng 2 4 in
-    let body =
-      List.mapi
-        (fun i s -> if i = k then Ast.For { var; bound; body = [ s ] } else s)
-        body
-    in
-    Some { p with body }
+    if
+      bound * trip_product (List.nth body k)
+      > Analysis.Validate.max_loop_bound
+    then None
+    else
+      let body =
+        List.mapi
+          (fun i s -> if i = k then Ast.For { var; bound; body = [ s ] } else s)
+          body
+      in
+      Some { p with body }
 
 (* Inverse of branch-body splicing: guard the k-th top-level statement
    with a comparison against a scalar parameter. *)

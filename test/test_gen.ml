@@ -98,6 +98,48 @@ let qcheck_gen_config_validation =
         false
       with Invalid_argument _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Growth *)
+
+(* The largest product of loop bounds along any nesting path: the
+   number of times the innermost statement of the deepest nest runs. *)
+let rec nest_trip_product body =
+  List.fold_left
+    (fun acc (s : Lang.Ast.stmt) ->
+      match s with
+      | Lang.Ast.For { bound; body; _ } ->
+        max acc (bound * nest_trip_product body)
+      | Lang.Ast.If { body; _ } -> max acc (nest_trip_product body)
+      | Lang.Ast.Decl _ | Lang.Ast.Assign _ -> acc)
+    1 body
+
+(* Wrapping loops in fresh loops must stop once the nest would run more
+   than the validator's per-loop cap in total: each loop is capped, but
+   without this check their product grows without bound. *)
+let test_grow_bounds_nest_trips () =
+  let p =
+    parse
+      {|
+void compute(double x, double* a) {
+  double comp = 0.0;
+  for (int i = 0; i < 8; ++i) {
+    comp += a[i] * x;
+  }
+}
+|}
+  in
+  let rng = Util.Rng.of_int 11 in
+  let rec go p n =
+    if n > 0 then begin
+      let p = Gen.Grow.grow rng p in
+      check_bool "nest trip product within the loop cap" true
+        (nest_trip_product p.Lang.Ast.body
+        <= Analysis.Validate.max_loop_bound);
+      go p (n - 1)
+    end
+  in
+  go p 300
+
 let () =
   Alcotest.run "gen"
     [
@@ -111,5 +153,10 @@ let () =
           Alcotest.test_case "varity naming" `Quick test_varity_naming_style;
           Alcotest.test_case "argv rendering" `Quick test_argv_rendering;
           QCheck_alcotest.to_alcotest qcheck_gen_config_validation;
+        ] );
+      ( "grow",
+        [
+          Alcotest.test_case "nest trip product bounded" `Quick
+            test_grow_bounds_nest_trips;
         ] );
     ]
