@@ -33,12 +33,8 @@
      LLM4FP_CHECKPOINT_EVERY   slots between checkpoints (default 25)
      LLM4FP_SKIP_WATCH=1   skip the watcher overhead study
      LLM4FP_WATCH_BUDGET   campaign size for that study (default 100)
-     LLM4FP_ENGINE         execution engine for the whole bench run
-                           (tree | vm, default vm)
      LLM4FP_SKIP_THROUGHPUT=1  skip the tree-vs-vm interp throughput study
      LLM4FP_THROUGHPUT_INPUTS  input vectors for that study (default 1000)
-     LLM4FP_SKIP_ENGINE_EQUIV=1  skip the tree-vs-vm equivalence drill
-     LLM4FP_ENGINE_BUDGET  campaign size for that drill (default 60)
      LLM4FP_SKIP_COVERAGE=1  skip the coverage-observatory study
      LLM4FP_COVERAGE_BUDGET  campaign size for that study (default 60)
      LLM4FP_SKIP_FLEET=1   skip the fleet scaling study
@@ -66,6 +62,34 @@ let env_int name default =
   end
 
 let env_flag name = Sys.getenv_opt name = Some "1"
+
+(* ------------------------------------------------------------------ *)
+(* Study helpers *)
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* A per-process scratch path under the system temp dir. *)
+let tmp name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "llm4fp-bench-%s-%d" name (Unix.getpid ()))
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A case archive as comparable bytes: (filename, contents) by name. *)
+let archive_bytes dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks: one per pipeline stage. *)
@@ -244,19 +268,11 @@ let run_forensics ~jobs () =
   Printf.printf
     "== forensics: flight-recorder overhead (budget %d, %d jobs) ==\n"
     budget jobs;
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let bare, without_s =
     timed (fun () ->
         Harness.Campaign.run ~budget ~jobs ~seed Harness.Approach.Llm4fp)
   in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "llm4fp-bench-cases-%d" (Unix.getpid ()))
-  in
+  let dir = tmp "cases" in
   let recorder = Difftest.Recorder.create ~dir in
   let recorded, with_s =
     timed (fun () ->
@@ -292,10 +308,7 @@ let run_forensics ~jobs () =
       f_duplicates = Difftest.Recorder.duplicates recorder;
     }
   in
-  Array.iter
-    (fun f -> Sys.remove (Filename.concat dir f))
-    (Sys.readdir dir);
-  Unix.rmdir dir;
+  rm_rf dir;
   Printf.printf
     "without recorder: %.2fs; with: %.2fs (overhead %+.2fs); archived %d \
      case(s) (%d cross, %d within), %d duplicate hit(s); results \
@@ -329,10 +342,7 @@ let run_reduce () =
     "== reduction: delta-debugging shrink ratios (budget %d, first %d \
      cases) ==\n"
     budget max_cases;
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "llm4fp-bench-reduce-%d" (Unix.getpid ()))
-  in
+  let dir = tmp "reduce" in
   let recorder = Difftest.Recorder.create ~dir in
   ignore
     (Harness.Campaign.run ~budget ~jobs:1 ~recorder ~seed
@@ -356,10 +366,7 @@ let run_reduce () =
       cases
   in
   let r_seconds = Unix.gettimeofday () -. t0 in
-  Array.iter
-    (fun f -> Sys.remove (Filename.concat dir f))
-    (Sys.readdir dir);
-  Unix.rmdir dir;
+  rm_rf dir;
   let ratios = List.map Reduce.shrink_ratio outcomes in
   let n = List.length outcomes in
   let summary =
@@ -423,23 +430,6 @@ let run_checkpoint ~jobs () =
       budget interval;
     exit 1
   end;
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Unix.rmdir dir
-    end
-  in
-  let tmp name =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "llm4fp-bench-%s-%d" name (Unix.getpid ()))
-  in
   let signature = Harness.Campaign.signature in
   let bare, without_s =
     timed (fun () ->
@@ -528,30 +518,11 @@ type watch_summary = {
   w_events : int;
 }
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
 let run_watch ~jobs () =
   let budget = env_int "LLM4FP_WATCH_BUDGET" 100 in
   let seed = env_int "LLM4FP_SEED" 20250704 in
   Printf.printf
     "== watch: trace-follower overhead (budget %d, %d jobs) ==\n" budget jobs;
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let tmp name =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "llm4fp-bench-%s-%d" name (Unix.getpid ()))
-  in
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Unix.rmdir dir
-    end
-  in
   let traced ~trace ~dir f =
     let recorder = Difftest.Recorder.create ~dir in
     let oc = open_out_bin trace in
@@ -617,11 +588,7 @@ let run_watch ~jobs () =
       budget seed;
     exit 1
   end;
-  let archive dir =
-    Sys.readdir dir |> Array.to_list |> List.sort compare
-    |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
-  in
-  if archive dir_a <> archive dir_b then begin
+  if archive_bytes dir_a <> archive_bytes dir_b then begin
     Printf.eprintf
       "FATAL: a concurrent watcher changed the case archive (budget %d, \
        seed %d)\n"
@@ -736,91 +703,6 @@ let run_throughput () =
   summary
 
 (* ------------------------------------------------------------------ *)
-(* Engine equivalence: a fixed-seed campaign run under each engine with
-   a trace sink and a flight recorder attached must produce the same
-   outcome signature, the same trace bytes, and the same case archive.
-   Fatal on any difference — the VM earning its keep must never change
-   a result. *)
-
-type engine_equiv_summary = { e_budget : int; e_jobs : int }
-
-let run_engine_equiv ~jobs () =
-  let budget = env_int "LLM4FP_ENGINE_BUDGET" 60 in
-  let seed = env_int "LLM4FP_SEED" 20250704 in
-  Printf.printf "== engine equivalence: tree vs vm (budget %d, %d jobs) ==\n"
-    budget jobs;
-  let tmp name =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "llm4fp-bench-%s-%d" name (Unix.getpid ()))
-  in
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Unix.rmdir dir
-    end
-  in
-  let run_engine engine name =
-    let trace = tmp (Printf.sprintf "engine-%s.jsonl" name) in
-    let dir = tmp (Printf.sprintf "engine-%s-cases" name) in
-    Compiler.Driver.set_engine engine;
-    let recorder = Difftest.Recorder.create ~dir in
-    let oc = open_out_bin trace in
-    let o =
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          Obs.Trace.with_sink
-            (Obs.Sink.ordered (Obs.Sink.jsonl oc))
-            (fun () ->
-              Harness.Campaign.run ~budget ~jobs ~recorder ~seed
-                Harness.Approach.Llm4fp))
-    in
-    let archive =
-      Sys.readdir dir |> Array.to_list |> List.sort compare
-      |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
-    in
-    let r = (Harness.Campaign.signature o, read_file trace, archive) in
-    Sys.remove trace;
-    rm_rf dir;
-    r
-  in
-  let saved = Compiler.Driver.engine () in
-  let (tree_sig, tree_trace, tree_arch), (vm_sig, vm_trace, vm_arch) =
-    Fun.protect
-      ~finally:(fun () -> Compiler.Driver.set_engine saved)
-      (fun () ->
-        let t = run_engine Compiler.Driver.Tree "tree" in
-        let v = run_engine Compiler.Driver.Vm "vm" in
-        (t, v))
-  in
-  if tree_sig <> vm_sig then begin
-    Printf.eprintf
-      "FATAL: tree and vm engines produced different campaign outcomes \
-       (budget %d, seed %d)\n"
-      budget seed;
-    exit 1
-  end;
-  if tree_trace <> vm_trace then begin
-    Printf.eprintf
-      "FATAL: tree and vm engines produced different trace bytes (budget \
-       %d, seed %d)\n"
-      budget seed;
-    exit 1
-  end;
-  if tree_arch <> vm_arch then begin
-    Printf.eprintf
-      "FATAL: tree and vm engines produced different case archives (budget \
-       %d, seed %d)\n"
-      budget seed;
-    exit 1
-  end;
-  Printf.printf
-    "outcome, trace bytes and case archive identical under both engines\n\n";
-  { e_budget = budget; e_jobs = jobs }
-
-(* ------------------------------------------------------------------ *)
 (* Coverage observatory: the search-space ledger a campaign accumulates
    must itself be deterministic — same cells, same provenance, same
    rolling window — at any job count (asserted fatally by comparing the
@@ -910,16 +792,6 @@ let run_fleet_study () =
     "== fleet scaling (budget %d, chunk %d, shards 1/2/4, %d core(s)) ==\n"
     budget chunk
     (Domain.recommended_domain_count ());
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter
-          (fun f -> rm_rf (Filename.concat path f))
-          (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
   (* everything the merge exposes, as comparable bytes *)
   let merged_bytes (m : Harness.Fleet.merged) =
     String.concat "\n"
@@ -936,10 +808,7 @@ let run_fleet_study () =
   in
   let merge_seconds = ref 0.0 in
   let run n =
-    let root =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "llm4fp-bench-fleet-n%d-%d" n (Unix.getpid ()))
-    in
+    let root = tmp (Printf.sprintf "fleet-n%d" n) in
     rm_rf root;
     Util.Durable.mkdir_p root;
     let t0 = Unix.gettimeofday () in
@@ -1074,18 +943,7 @@ let run_bandit ~jobs () =
   (* Crash drill: die mid-write at the second snapshot, resume from the
      first, and require the finished posterior to match byte for byte. *)
   let interval = max 2 ((budget / 4) + 1) in
-  let crash_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "llm4fp-bench-bandit-%d" (Unix.getpid ()))
-  in
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Unix.rmdir dir
-    end
-  in
+  let crash_dir = tmp "bandit" in
   rm_rf crash_dir;
   Exec.Faults.arm
     [ { Exec.Faults.stage = Exec.Faults.Checkpoint_write;
@@ -1257,8 +1115,8 @@ let validate_flame () =
    just how much of it there is. *)
 
 let json_summary ~budget ~seed ~jobs ~tables_seconds ~end_to_end_seconds ~micro
-    ~forensics ~reduction ~checkpoint ~watch ~throughput ~engine_equiv
-    ~coverage ~fleet ~bandit ~flame_events =
+    ~forensics ~reduction ~checkpoint ~watch ~throughput ~coverage ~fleet
+    ~bandit ~flame_events =
   let phase (r : Obs.Span.row) =
     Obs.Json.Obj
       [ ("label", Obs.Json.String r.Obs.Span.label);
@@ -1346,16 +1204,6 @@ let json_summary ~budget ~seed ~jobs ~tables_seconds ~end_to_end_seconds ~micro
                 ("tree_fp_ops_per_sec", Obs.Json.Float t.t_tree_ops_ps);
                 ("vm_fp_ops_per_sec", Obs.Json.Float t.t_vm_ops_ps);
                 ("speedup", Obs.Json.Float t.t_speedup) ] ) ])
-    @ (match engine_equiv with
-      | None -> []
-      | Some e ->
-        [ ( "engine_equiv",
-            Obs.Json.Obj
-              [ ("budget", Obs.Json.Int e.e_budget);
-                ("jobs", Obs.Json.Int e.e_jobs);
-                (* inequivalence is fatal above; recorded explicitly so
-                   stored summaries say the drill ran and passed *)
-                ("equivalent", Obs.Json.Bool true) ] ) ])
     @ (match coverage with
       | None -> []
       | Some c ->
@@ -1432,10 +1280,6 @@ let json_summary ~budget ~seed ~jobs ~tables_seconds ~end_to_end_seconds ~micro
 let () =
   let t_start = Unix.gettimeofday () in
   let jobs = env_int "LLM4FP_JOBS" 1 in
-  (try Compiler.Driver.set_engine_of_env ()
-   with Invalid_argument msg ->
-     Printf.eprintf "bench: %s\n" msg;
-     exit 2);
   let micro =
     if not (env_flag "LLM4FP_SKIP_MICRO") then Some (run_micro ()) else None
   in
@@ -1469,11 +1313,6 @@ let () =
     if not (env_flag "LLM4FP_SKIP_THROUGHPUT") then Some (run_throughput ())
     else None
   in
-  let engine_equiv =
-    if not (env_flag "LLM4FP_SKIP_ENGINE_EQUIV") then
-      Some (run_engine_equiv ~jobs ())
-    else None
-  in
   let coverage =
     if not (env_flag "LLM4FP_SKIP_COVERAGE") then Some (run_coverage ~jobs ())
     else None
@@ -1498,7 +1337,6 @@ let () =
       (Obs.Json.to_string
          (json_summary ~budget ~seed ~jobs ~tables_seconds
             ~end_to_end_seconds ~micro ~forensics ~reduction ~checkpoint
-            ~watch ~throughput ~engine_equiv ~coverage ~fleet ~bandit
-            ~flame_events)
+            ~watch ~throughput ~coverage ~fleet ~bandit ~flame_events)
       ^ "\n");
     Printf.printf "(wrote JSON summary to %s)\n" path

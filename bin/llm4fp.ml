@@ -42,33 +42,6 @@ let jobs_arg =
                  sequential). Results are identical at any job count; \
                  only wall-clock changes.")
 
-let engine_arg =
-  let engine_conv =
-    Arg.conv
-      ( (fun s ->
-          match Compiler.Driver.engine_of_string s with
-          | Some e -> Ok e
-          | None ->
-            Error (`Msg (Printf.sprintf "unknown engine %S (tree | vm)" s))),
-        fun fmt e ->
-          Format.pp_print_string fmt (Compiler.Driver.engine_name e) )
-  in
-  Arg.(value & opt (some engine_conv) None
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: $(b,vm) (the flattened run-many VM, \
-                 the default) or $(b,tree) (the reference tree-walking \
-                 interpreter). Results are bit-identical on either; the \
-                 toggle exists for A/B measurement. Also read from \
-                 \\$LLM4FP_ENGINE; the flag wins.")
-
-(* Env first (like Exec.Faults.of_env), then the flag overrides. *)
-let apply_engine choice =
-  (try Compiler.Driver.set_engine_of_env ()
-   with Invalid_argument msg ->
-     prerr_endline msg;
-     exit 1);
-  Option.iter Compiler.Driver.set_engine choice
-
 (* Bracket [f] with a JSONL trace sink on [path], when given. *)
 let with_trace path f =
   match path with
@@ -186,8 +159,7 @@ let cmd_matrix =
              ~doc:"C source of a compute function (default: a fresh \
                    LLM4FP-style program).")
   in
-  let run seed file engine =
-    apply_engine engine;
+  let run seed file =
     let source =
       match file with
       | Some path ->
@@ -235,28 +207,24 @@ let cmd_matrix =
         (List.length result.Difftest.Run.cross)
   in
   Cmd.v (Cmd.info "matrix" ~doc:"Run one program under every configuration")
-    Term.(const run $ seed_arg $ file $ engine_arg)
+    Term.(const run $ seed_arg $ file)
 
 let cmd_campaign =
   let approach =
-    Arg.(value & pos 0 (some approach_arg) None
+    Arg.(required & pos 0 (some approach_arg) None
          & info [] ~docv:"APPROACH"
-             ~doc:"Which approach to run (omit with $(b,--bandit)).")
-  in
-  let bandit =
-    Arg.(value & flag
-         & info [ "bandit" ]
-             ~doc:"Run the bandit-interleaved ensemble: every budget slot \
-                   goes to the arm — mutate, varity, direct, grammar, grow \
-                   — with the best recent inconsistencies per simulated \
-                   second. Equivalent to APPROACH $(b,bandit).")
+             ~doc:"Which approach to run: varity, direct-prompt, \
+                   grammar-guided, llm4fp, or bandit (the ensemble: every \
+                   budget slot goes to the arm — mutate, varity, direct, \
+                   grammar, grow — with the best recent inconsistencies \
+                   per simulated second).")
   in
   let grow_from =
     Arg.(value & opt (some string) None
          & info [ "grow-from" ] ~docv:"DIR"
              ~doc:"Seed the bandit's grow arm with the archived cases in \
                    $(docv) (a $(b,--record) directory from an earlier \
-                   campaign). Only meaningful with $(b,--bandit).")
+                   campaign). Only meaningful for $(b,bandit) campaigns.")
   in
   let fp32 =
     Arg.(value & flag
@@ -340,29 +308,11 @@ let cmd_campaign =
                    changing it changes results, changing the shard \
                    count never does.")
   in
-  let run seed budget approach bandit grow_from fp32 jobs trace metrics record
-      html checkpoint_dir checkpoint_every resume faults engine shard out chunk
-      =
-    apply_engine engine;
-    let approach =
-      match (approach, bandit) with
-      | Some a, false -> a
-      | None, true | Some Harness.Approach.Bandit, true ->
-        Harness.Approach.Bandit
-      | Some a, true ->
-        Printf.eprintf
-          "llm4fp campaign: --bandit conflicts with APPROACH %s\n"
-          (Harness.Approach.name a);
-        exit 2
-      | None, false ->
-        prerr_endline
-          "llm4fp campaign: required argument APPROACH is missing (or pass \
-           --bandit)";
-        exit 2
-    in
+  let run seed budget approach grow_from fp32 jobs trace metrics record html
+      checkpoint_dir checkpoint_every resume faults shard out chunk =
     if grow_from <> None && approach <> Harness.Approach.Bandit then begin
       prerr_endline
-        "llm4fp campaign: --grow-from only applies to --bandit campaigns";
+        "llm4fp campaign: --grow-from only applies to bandit campaigns";
       exit 2
     end;
     if grow_from <> None && shard <> None then begin
@@ -627,10 +577,10 @@ let cmd_campaign =
     print_metrics_if metrics
   in
   Cmd.v (Cmd.info "campaign" ~doc:"Run one approach's full campaign")
-    Term.(const run $ seed_arg $ budget_arg $ approach $ bandit $ grow_from
-          $ fp32 $ jobs_arg $ trace_arg $ metrics_arg $ record $ html
-          $ checkpoint_dir $ checkpoint_every $ resume $ faults $ engine_arg
-          $ shard $ out $ chunk)
+    Term.(const run $ seed_arg $ budget_arg $ approach $ grow_from $ fp32
+          $ jobs_arg $ trace_arg $ metrics_arg $ record $ html
+          $ checkpoint_dir $ checkpoint_every $ resume $ faults $ shard $ out
+          $ chunk)
 
 let cmd_fleet =
   let approach =
@@ -687,7 +637,7 @@ let cmd_fleet =
              ~doc:"Supervisor polling interval (default 0.2).")
   in
   let run seed budget approach fp32 jobs shards out chunk checkpoint_every
-      faults max_restarts interval engine =
+      faults max_restarts interval =
     if shards < 1 then begin
       prerr_endline "llm4fp fleet: -n must be at least 1";
       exit 2
@@ -730,9 +680,6 @@ let cmd_fleet =
           "--checkpoint-every"; string_of_int checkpoint_every;
           "-j"; string_of_int jobs ]
         @ (if fp32 then [ "--fp32" ] else [])
-        @ (match engine with
-          | Some e -> [ "--engine"; Compiler.Driver.engine_name e ]
-          | None -> [])
         @ (match faults with
           | Some f when with_faults -> [ "--faults"; f ]
           | _ -> [])
@@ -886,7 +833,7 @@ let cmd_fleet =
              any shard count.")
     Term.(const run $ seed_arg $ budget_arg $ approach $ fp32 $ jobs_arg
           $ shards $ out $ chunk $ checkpoint_every $ faults
-          $ max_restarts $ interval $ engine_arg)
+          $ max_restarts $ interval)
 
 let cmd_merge =
   let root =
@@ -1027,8 +974,7 @@ let cmd_tables =
              ~doc:"Directory for the CSV files (one <section>.csv per \
                    table).")
   in
-  let run seed budget only max_pairs jobs trace metrics csv out engine =
-    apply_engine engine;
+  let run seed budget only max_pairs jobs trace metrics csv out =
     if csv && out = None then begin
       prerr_endline "--csv needs --out DIR";
       exit 1
@@ -1078,7 +1024,7 @@ let cmd_tables =
     (Cmd.info "tables"
        ~doc:"Run all four campaigns and print every paper table and figure")
     Term.(const run $ seed_arg $ budget_arg $ only $ max_pairs $ jobs_arg
-          $ trace_arg $ metrics_arg $ csv $ out $ engine_arg)
+          $ trace_arg $ metrics_arg $ csv $ out)
 
 let cmd_corpus =
   let kernel_name =
@@ -1145,8 +1091,7 @@ let cmd_profile =
              ~doc:"Also export the span tree as Chrome trace-event JSON \
                    to $(docv) (loadable in chrome://tracing or Perfetto).")
   in
-  let run seed budget approach jobs trace metrics flame engine =
-    apply_engine engine;
+  let run seed budget approach jobs trace metrics flame =
     Obs.Span.set_enabled true;
     let o =
       with_trace trace (fun () ->
@@ -1177,7 +1122,7 @@ let cmd_profile =
              per-stage hot-path profile (flat and as a call tree), \
              optionally exporting a flamegraph ($(b,--flame))")
     Term.(const run $ seed_arg $ budget $ approach $ jobs_arg $ trace_arg
-          $ metrics_arg $ flame $ engine_arg)
+          $ metrics_arg $ flame)
 
 let cmd_explain =
   let case_ref =

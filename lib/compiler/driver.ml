@@ -6,29 +6,10 @@ type binary = {
   work : int;
 }
 
-type engine = Tree | Vm
+type engine = Vm
 
-let engine_name = function Tree -> "tree" | Vm -> "vm"
-
-let engine_of_string = function
-  | "tree" -> Some Tree
-  | "vm" -> Some Vm
-  | _ -> None
-
-let current_engine = Atomic.make Vm
-let engine () = Atomic.get current_engine
-let set_engine e = Atomic.set current_engine e
-
-let set_engine_of_env () =
-  match Sys.getenv_opt "LLM4FP_ENGINE" with
-  | None | Some "" -> ()
-  | Some s -> begin
-    match engine_of_string s with
-    | Some e -> set_engine e
-    | None ->
-      invalid_arg
-        (Printf.sprintf "LLM4FP_ENGINE: unknown engine %S (tree | vm)" s)
-  end
+let engine_name Vm = "vm"
+let engine () = Vm
 
 let m_compile_ok = Obs.Metrics.counter "compiler.compile.ok"
 let m_compile_error = Obs.Metrics.counter "compiler.compile.error"
@@ -223,9 +204,7 @@ let compile (config : Config.t) (program : Lang.Ast.program) =
 let execute binary inputs =
   Obs.Span.with_span "compiler.interp" @@ fun () ->
   inject_with_retry Exec.Faults.Execution;
-  match Atomic.get current_engine with
-  | Tree -> Irsim.Interp.run (Config.runtime binary.config) binary.ir inputs
-  | Vm -> Irsim.Vm.run binary.vm inputs
+  Irsim.Vm.run binary.vm inputs
 
 let account binary (out : Irsim.Interp.outcome) =
   Obs.Metrics.incr m_runs;
@@ -244,14 +223,6 @@ let run binary inputs =
   let out = execute binary inputs in
   account binary out;
   out
-
-let run_batch binary inputs_list =
-  Obs.Span.with_span "compiler.interp" @@ fun () ->
-  match Atomic.get current_engine with
-  | Tree ->
-    let rt = Config.runtime binary.config in
-    List.map (fun inputs -> Irsim.Interp.run rt binary.ir inputs) inputs_list
-  | Vm -> Irsim.Vm.run_batch binary.vm inputs_list
 
 let run_hex binary inputs = Fp.Bits.hex_of_double (run binary inputs).result
 

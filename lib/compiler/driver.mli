@@ -38,34 +38,22 @@ type binary = {
   work : int;       (** IR node count, the compile/execute cost proxy *)
 }
 
-(** Which execution engine {!run} and {!run_batch} dispatch to. [Vm]
-    (the default) runs the flattened program cached on the binary; [Tree]
-    runs the reference tree-walking interpreter. The two are bit-exact —
-    the [vm-equiv] property suite, the difftest suites, and the bench
-    equivalence drill all assert it — so the toggle exists for A/B
-    measurement and for re-validating the VM against the reference. *)
-type engine = Tree | Vm
+(** The execution engine {!execute} runs: the register VM over the
+    flattened program cached on the binary. {!Irsim.Interp} is the
+    bit-exact reference it is checked against (the [vm-equiv] property
+    suite and the program-level difftest and harness checks); tests call
+    it directly. *)
+type engine = Vm
 
 val engine_name : engine -> string
-val engine_of_string : string -> engine option
 
 val engine : unit -> engine
-(** The process-wide engine currently in effect (atomic; shared by every
-    domain). *)
-
-val set_engine : engine -> unit
-
-val set_engine_of_env : unit -> unit
-(** Apply [LLM4FP_ENGINE] ("tree" | "vm") if set and non-empty. Raises
-    [Invalid_argument] on an unrecognized value. Call sites (CLI, bench)
-    invoke this explicitly at startup, like {!Exec.Faults.of_env}. *)
 
 val of_ir :
   config:Config.t -> source:string -> work:int -> Irsim.Ir.t -> binary
 (** Package optimized IR as a binary, flattening it for the VM under
     [config]'s runtime. The one constructor every binary goes through —
-    keeps hand-built binaries (isolation probes) executable on either
-    engine. *)
+    keeps hand-built binaries (isolation probes) executable on the VM. *)
 
 type target = [ `Host | `Device ]
 
@@ -104,7 +92,7 @@ val compile : Config.t -> Lang.Ast.program -> (binary, string) result
     successfully are passed to the next stage"). *)
 
 val execute : binary -> Irsim.Inputs.t -> Irsim.Interp.outcome
-(** Raw execution on the current {!engine}: the [compiler.interp] span
+(** Raw execution on the VM: the [compiler.interp] span
     and the fault-injection site, but no metrics and no trace event.
     {!Difftest.Run} uses this to run each deduplicated binary once and
     then {!account} the outcome to every configuration that shares it. *)
@@ -116,13 +104,6 @@ val account : binary -> Irsim.Interp.outcome -> unit
 
 val run : binary -> Irsim.Inputs.t -> Irsim.Interp.outcome
 (** [execute] + [account]: the historic one-call entry point. *)
-
-val run_batch : binary -> Irsim.Inputs.t list -> Irsim.Interp.outcome list
-(** Execute every input vector against one binary in a single pass,
-    reusing the VM's register state across vectors (per-call on the tree
-    engine). Raw like {!execute}: one [compiler.interp] span, no
-    metrics, no trace events, no fault injection — the throughput entry
-    point for bench and batch callers. *)
 
 val run_hex : binary -> Irsim.Inputs.t -> string
 (** The 16-character hexadecimal encoding of the printed result — the

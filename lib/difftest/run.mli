@@ -70,8 +70,8 @@ val test :
     on the standard matrix the O1/O2/O3 levels of each personality
     collapse, roughly halving executions.
 
-    The [result] is identical at any job count and on either
-    {!Compiler.Driver.engine}; only wall-clock changes. Trace events
+    The [result] is identical at any job count; only wall-clock
+    changes. Trace events
     carry a deterministic [(slot, lane, seq)] stamp — [lane] is the
     configuration's matrix index — so a sink wrapped in
     {!Obs.Sink.ordered} observes the exact [jobs = 1] event sequence at

@@ -16,8 +16,3 @@ let of_name s =
   let s = String.uppercase_ascii s in
   if s = "BANDIT" then Some Bandit
   else Array.find_opt (fun a -> name a = s) all
-
-let uses_llm = function
-  | Varity -> false
-  | Direct_prompt | Grammar_guided | Llm4fp -> true
-  | Bandit -> true (* three of five arms call the model *)

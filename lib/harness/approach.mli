@@ -23,4 +23,3 @@ val name : t -> string
 val of_name : string -> t option
 (** Case-insensitive. *)
 
-val uses_llm : t -> bool

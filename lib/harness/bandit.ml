@@ -19,9 +19,9 @@ type arm = Mutate | Varity | Direct | Grammar | Grow
 
 let arms = [| Mutate; Varity; Direct; Grammar; Grow |]
 
-(* Arm names double as campaign strategy names, so Slot_started events,
-   the coverage ledger and the flight deck label bandit slots with the
-   same vocabulary as fixed-arm campaigns. *)
+(* Arms are the campaign's one generator vocabulary: Slot_started
+   events, the coverage ledger and the flight deck label every slot,
+   fixed-arm or bandit, with these names. *)
 let arm_name = function
   | Mutate -> "mutate"
   | Varity -> "varity"

@@ -1,6 +1,6 @@
 (** Epsilon-greedy bandit allocation over the five generation arms.
 
-    A bandit campaign ([campaign --bandit], {!Approach.Bandit}) treats
+    A bandit campaign ([campaign bandit], {!Approach.Bandit}) treats
     every budget slot as a pull and allocates it to the arm with the
     best {e recent} inconsistencies per simulated second — the same
     efficiency signal {!Obs.Coverage.strategy_rates} reports, measured
@@ -16,6 +16,10 @@
     ({!to_json}/{!restore}) for byte-identical kill/resume at any
     point. *)
 
+(** The five generation arms: the campaign's one generator vocabulary.
+    Every {!Approach.t} is an allocation policy over them — a fixed
+    arm, LLM4FP's coin flip between [Grammar] and [Mutate], or this
+    module's epsilon-greedy {!select}. *)
 type arm =
   | Mutate   (** the LLM4FP feedback mutation loop *)
   | Varity   (** random grammar generation, no LLM *)
@@ -28,9 +32,9 @@ val arms : arm array
     resolution follow it. *)
 
 val arm_name : arm -> string
-(** The campaign strategy name ("mutate", "varity", "direct",
-    "grammar", "grow") — bandit slots reuse the fixed-arm vocabulary in
-    traces and coverage. *)
+(** The slot label in traces and coverage ("mutate", "varity",
+    "direct", "grammar", "grow"), the same for fixed-arm and bandit
+    campaigns. *)
 
 val arm_of_name : string -> arm option
 

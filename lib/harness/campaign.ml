@@ -56,7 +56,7 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
   (* The bandit owns its own split stream, taken only in bandit mode so
      every fixed-arm campaign's draw sequence is unchanged. Selection
      burns exactly two draws per slot from this stream, never from the
-     strategy or input streams. *)
+     campaign or input streams. *)
   let bandit =
     match approach with
     | Approach.Bandit -> Some (Bandit.create ~rng:(Util.Rng.split rng) ())
@@ -210,33 +210,22 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
     Time_model.charge_llm clock response.Llm.Client.latency;
     admit response.Llm.Client.source
   in
-  let arm_strategy = function
-    | Bandit.Mutate -> `Mutate
-    | Bandit.Varity -> `Varity
-    | Bandit.Direct -> `Direct
-    | Bandit.Grammar -> `Grammar
-    | Bandit.Grow -> `Grow
-  in
-  let arm_of_strategy = function
-    | `Mutate -> Bandit.Mutate
-    | `Varity -> Bandit.Varity
-    | `Direct -> Bandit.Direct
-    | `Grammar -> Bandit.Grammar
-    | `Grow -> Bandit.Grow
-  in
-  (* The per-slot strategy is drawn first (same RNG order as ever) so it
-     can be traced even when generation subsequently fails. In bandit
-     mode the choice comes from the bandit's own stream instead and is
-     traced as an [Arm_chosen] event just before the slot starts. *)
-  let choose_strategy rslot =
+  (* Every approach is an allocation policy over the bandit's arms: a
+     fixed arm, the paper's LLM4FP coin flip, or epsilon-greedy. The
+     slot's arm is chosen first (same RNG order as ever) so it can be
+     traced even when generation subsequently fails. The coin flip
+     draws only once the feedback set is non-empty; the bandit draws
+     from its own stream and is traced as an [Arm_chosen] event just
+     before the slot starts. *)
+  let choose_arm rslot =
     match approach with
-    | Approach.Varity -> `Varity
-    | Approach.Direct_prompt -> `Direct
-    | Approach.Grammar_guided -> `Grammar
+    | Approach.Varity -> Bandit.Varity
+    | Approach.Direct_prompt -> Bandit.Direct
+    | Approach.Grammar_guided -> Bandit.Grammar
     | Approach.Llm4fp ->
       if !successful <> [] && Util.Rng.chance rng strategy_mix_probability
-      then `Mutate
-      else `Grammar
+      then Bandit.Mutate
+      else Bandit.Grammar
     | Approach.Bandit ->
       let b = Option.get bandit in
       let choice =
@@ -255,24 +244,17 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
                reward = choice.Bandit.estimate;
                explore = choice.Bandit.explore;
              });
-      arm_strategy choice.Bandit.arm
+      choice.Bandit.arm
   in
-  let strategy_name = function
-    | `Varity -> "varity"
-    | `Direct -> "direct"
-    | `Grammar -> "grammar"
-    | `Mutate -> "mutate"
-    | `Grow -> "grow"
-  in
-  let generate strategy : (Lang.Ast.program, _) result =
-    match strategy with
-    | `Varity -> Ok { (Gen.Varity.generate rng) with Lang.Ast.precision }
-    | `Direct -> llm_generate (Llm.Prompt.Direct { precision })
-    | `Grammar -> llm_generate (Llm.Prompt.Grammar { precision })
-    | `Mutate ->
+  let generate arm : (Lang.Ast.program, _) result =
+    match arm with
+    | Bandit.Varity -> Ok { (Gen.Varity.generate rng) with Lang.Ast.precision }
+    | Bandit.Direct -> llm_generate (Llm.Prompt.Direct { precision })
+    | Bandit.Grammar -> llm_generate (Llm.Prompt.Grammar { precision })
+    | Bandit.Mutate ->
       let example = Util.Rng.choose_list rng !successful in
       llm_generate (Llm.Prompt.Mutate { precision; example })
-    | `Grow ->
+    | Bandit.Grow ->
       (* Reverse-shrink: start from an archived or successful case and
          apply validity-preserving growth moves. No LLM call — this arm
          costs framework time only. *)
@@ -280,18 +262,19 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
       let sprout = Util.Rng.choose_list rng pool in
       Ok { (Gen.Grow.grow rng sprout) with Lang.Ast.precision }
   in
-  (* Per strategy, not per approach: under the bandit a Varity slot
-     keeps Varity's input ranges and LLM arms keep the LLM config —
-     exactly what the corresponding fixed-arm campaign would use for
-     that slot. Grow takes the LLM ranges since its seeds are archived
-     or feedback programs generated under them. *)
+  (* Per arm, not per approach: under the bandit a Varity slot keeps
+     Varity's input ranges and LLM arms keep the LLM config — exactly
+     what the corresponding fixed-arm campaign would use for that slot.
+     Grow takes the LLM ranges since its seeds are archived or feedback
+     programs generated under them. *)
   let input_config = function
-    | `Varity -> Gen.Varity.config
-    | `Direct | `Grammar | `Mutate | `Grow -> Llm.Client.generation_config
+    | Bandit.Varity -> Gen.Varity.config
+    | Bandit.Direct | Bandit.Grammar | Bandit.Mutate | Bandit.Grow ->
+      Llm.Client.generation_config
   in
   let framework_cost = function
-    | `Varity | `Grow -> Time_model.framework
-    | `Direct | `Grammar | `Mutate -> Time_model.framework_llm
+    | Bandit.Varity | Bandit.Grow -> Time_model.framework
+    | Bandit.Direct | Bandit.Grammar | Bandit.Mutate -> Time_model.framework_llm
   in
   (* A resumed run appends to a trace that already opens with the
      original Campaign_started event (the stored offset covers it). *)
@@ -317,14 +300,13 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
         Obs.Metrics.incr m_slots;
         let incons_before = Difftest.Stats.total_inconsistencies stats in
         let sim_before = Util.Sim_clock.elapsed clock in
-        let strategy = choose_strategy rslot in
-        Util.Sim_clock.advance clock (framework_cost strategy);
+        let arm = choose_arm rslot in
+        let strategy = Bandit.arm_name arm in
+        Util.Sim_clock.advance clock (framework_cost arm);
         if Obs.Trace.on () then
-          Obs.Trace.emit
-            (Obs.Event.Slot_started
-               { slot = rslot; strategy = strategy_name strategy });
+          Obs.Trace.emit (Obs.Event.Slot_started { slot = rslot; strategy });
         (match
-           Obs.Span.with_span "campaign.generate" (fun () -> generate strategy)
+           Obs.Span.with_span "campaign.generate" (fun () -> generate arm)
          with
         | Error failure ->
           incr generation_failures;
@@ -348,7 +330,7 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
         | Ok program ->
           programs := program :: !programs;
           let inputs =
-            Gen.Generate.gen_inputs input_rng (input_config strategy) program
+            Gen.Generate.gen_inputs input_rng (input_config arm) program
           in
           cases := (program, inputs) :: !cases;
           let result =
@@ -379,8 +361,8 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
           List.iter
             (fun key ->
               let novel =
-                Obs.Coverage.record coverage ~slot:rslot
-                  ~strategy:(strategy_name strategy) ~sim_s:sim_now key
+                Obs.Coverage.record coverage ~slot:rslot ~strategy
+                  ~sim_s:sim_now key
               in
               if Obs.Trace.on () then
                 Obs.Trace.emit
@@ -392,7 +374,7 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
                          pair = key.Obs.Coverage.pair;
                          level = key.Obs.Coverage.level;
                          classes = key.Obs.Coverage.classes;
-                         strategy = strategy_name strategy;
+                         strategy;
                          cells = Obs.Coverage.total_cells coverage;
                          sim_s = sim_now;
                        }
@@ -404,7 +386,7 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
                          pair = key.Obs.Coverage.pair;
                          level = key.Obs.Coverage.level;
                          classes = key.Obs.Coverage.classes;
-                         strategy = strategy_name strategy;
+                         strategy;
                          hits =
                            (match Obs.Coverage.find coverage key with
                            | Some c -> c.Obs.Coverage.hits
@@ -441,7 +423,7 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
         match bandit with
         | None -> ()
         | Some b ->
-          Bandit.update b (arm_of_strategy strategy)
+          Bandit.update b arm
             ~inconsistencies:
               (Difftest.Stats.total_inconsistencies stats - incons_before)
             ~sim_cost:(Util.Sim_clock.elapsed clock -. sim_before)
@@ -487,9 +469,9 @@ let run ?(budget = 1000) ?(precision = Lang.Ast.F64) ?(jobs = 1) ?recorder
   }
 
 (* The equality key used by determinism drills (bench, checkpoint and
-   engine-equivalence tests): everything about an outcome that must be
-   invariant under jobs, checkpointing, observation, and execution
-   engine — but not the real-time measurements, which always differ. *)
+   fleet tests): everything about an outcome that must be invariant
+   under jobs, checkpointing and observation — but not the real-time
+   measurements, which always differ. *)
 let signature (o : outcome) =
   ( Difftest.Stats.total_inconsistencies o.stats,
     Difftest.Stats.total_comparisons o.stats,

@@ -1,9 +1,10 @@
 (** Campaign runner: one approach, one budget, full pipeline.
 
     Implements Figure 1's loop. For each of the [budget] slots: select a
-    generation strategy (for LLM4FP, a fair coin between Grammar-Based
-    Generation and Feedback-Based Mutation once the successful set is
-    non-empty — §2.3), obtain a candidate program, pair it with a fresh
+    generation arm ({!Bandit.arm}; every approach is an allocation
+    policy over the same five arms — a fixed arm, or for LLM4FP a fair
+    coin between Grammar-Based Generation and Feedback-Based Mutation
+    once the successful set is non-empty — §2.3), obtain a candidate program, pair it with a fresh
     input vector, push it through the compilation driver and differential
     testing, and feed programs that triggered at least one inconsistency
     back into the successful set. All costs are charged to a simulated
@@ -57,7 +58,7 @@ val run :
 
     [jobs] (default 1) fans each slot's configuration matrix across the
     {!Exec.Pool}. The feedback loop stays strictly sequential in slot
-    order — the strategy draw, the generated program and the feedback
+    order — the arm draw, the generated program and the feedback
     set of slot [n] never depend on execution timing — so the outcome
     is identical at any job count; only wall-clock changes.
 
@@ -92,7 +93,7 @@ val run :
     renderings), so a resumed run ignores the caller's value and
     restores the original pool.
 
-    For [Approach.Bandit], the per-slot strategy is chosen by an
+    For [Approach.Bandit], the per-slot arm is chosen by an
     epsilon-greedy bandit ({!Bandit}) over five arms — mutate, varity,
     direct, grammar, grow — maximising recent inconsistencies per
     simulated second. The bandit draws from its own split stream
@@ -115,9 +116,8 @@ val signature : outcome -> int * int * int * int * float
 (** (total inconsistencies, total comparisons, feedback-set size,
     generation failures, simulated seconds): the outcome fields that
     every determinism drill asserts invariant — under job count,
-    checkpoint/resume, attached observers, and execution engine. Shared
-    by bench and the equivalence tests so they all compare the same
-    key. *)
+    checkpoint/resume and attached observers. Shared by bench and the
+    equivalence tests so they all compare the same key. *)
 
 val strategy_mix_probability : float
 (** 0.5 — the paper's fixed probability of choosing Feedback-Based

@@ -49,7 +49,7 @@ val render : outcome -> string
 
 val grow_pool : dir:string -> (Lang.Ast.program list, string) result
 (** Load a [--record] archive directory as a seed pool for the bandit's
-    grow arm ([campaign --bandit --grow-from DIR]): every archived case's
+    grow arm ([campaign bandit --grow-from DIR]): every archived case's
     program, re-parsed from its stored source, deduplicated on the
     normalized rendering, in fingerprint order — deterministic in the
     archive contents alone. [Error] on an unreadable directory or an

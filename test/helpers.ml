@@ -79,6 +79,43 @@ let run_traced_campaign ?(budget = 20) ?(jobs = 1) ?(seed = 20250704)
   (outcome, trace, arch)
 
 (* ------------------------------------------------------------------ *)
+(* Execution engine *)
+
+(* The VM against its reference, program by program: for every case a
+   campaign ran, every binary of the configuration matrix must give the
+   same result bits, FP-op count and trap from [Compiler.Driver.execute]
+   (the VM) as from [Irsim.Interp.run] (the tree-walking reference).
+   Returns how many executions were compared. *)
+let check_vm_matches_reference (outcome : Harness.Campaign.outcome) =
+  let observe f =
+    match f () with
+    | (o : Irsim.Interp.outcome) ->
+      Ok (Int64.bits_of_float o.Irsim.Interp.result, o.Irsim.Interp.fp_ops)
+    | exception Irsim.Interp.Trap t -> Error t
+  in
+  List.fold_left
+    (fun checked (program, inputs) ->
+      List.fold_left
+        (fun checked -> function
+          | Either.Right _ -> checked
+          | Either.Left (config, (b : Compiler.Driver.binary)) ->
+            let vm = observe (fun () -> Compiler.Driver.execute b inputs) in
+            let reference =
+              observe (fun () ->
+                  Irsim.Interp.run
+                    (Compiler.Config.runtime b.Compiler.Driver.config)
+                    b.Compiler.Driver.ir inputs)
+            in
+            if vm <> reference then
+              Alcotest.failf "VM and reference disagree under %s on:\n%s"
+                (Compiler.Config.name config)
+                (Lang.Pp.to_c program);
+            checked + 1)
+        checked
+        (Compiler.Driver.matrix program))
+    0 outcome.Harness.Campaign.cases
+
+(* ------------------------------------------------------------------ *)
 (* Golden files *)
 
 let max_diff_lines = 10

@@ -221,23 +221,15 @@ let test_exec_dedup_metrics () =
   check_bool "some configurations share an execution" true (dh > 0);
   check_bool "at least one distinct execution" true (dm > 0)
 
-(* The VM engine must be invisible in the results: same hex outputs,
-   same comparisons, as the tree-walking interpreter. *)
+(* The VM engine must be invisible in the results: every Varity case
+   of a fixed-seed campaign runs bit-identically on the VM and on the
+   tree-walking reference under every configuration. *)
 let test_engines_agree () =
-  let p = parse chaotic in
-  let inputs = Irsim.Inputs.[ Fp 1.25; Fp (-2.5) ] in
-  let saved = Compiler.Driver.engine () in
-  let under e =
-    Compiler.Driver.set_engine e;
-    let r = Difftest.Run.test p inputs in
-    List.map (fun (o : Difftest.Run.output) -> o.Difftest.Run.hex)
-      r.Difftest.Run.outputs
+  let outcome =
+    Harness.Campaign.run ~budget:20 ~seed:77 Harness.Approach.Varity
   in
-  Fun.protect
-    ~finally:(fun () -> Compiler.Driver.set_engine saved)
-    (fun () ->
-      check_bool "tree and vm produce identical hex outputs" true
-        (under Compiler.Driver.Tree = under Compiler.Driver.Vm))
+  check_bool "executions compared" true
+    (check_vm_matches_reference outcome > 0)
 
 let test_pair_index () =
   check_int "gcc-clang first" 0
