@@ -110,6 +110,39 @@ let bandit_v11 =
            req "resume_equivalent" Bool;
            req "jobs_equivalent" Bool ]) ]
 
+(* v12: the bench's studies are one table with constant sizes, and the
+   determinism drills tier-1 already asserts left it, so their recorded
+   booleans ([engine_equiv], [checkpoint.resume_equivalent],
+   [fleet.identical], [bandit.resume_equivalent],
+   [bandit.jobs_equivalent]) are gone. Merge time is recorded per shard
+   count. *)
+(* [spec] with the named fields of its object fields removed. *)
+let drop names spec =
+  List.map
+    (fun f ->
+      match f.fkind with
+      | Obj fields ->
+        { f with
+          fkind =
+            Obj (List.filter (fun g -> not (List.mem g.fname names)) fields) }
+      | _ -> f)
+    spec
+
+let checkpoint_v12 = drop [ "resume_equivalent" ] checkpoint
+let engine_v12 = List.filter (fun f -> f.fname <> "engine_equiv") engine_v8
+
+let fleet_v12 =
+  [ opt "fleet"
+      (Obj
+         [ req "budget" Int; req "chunk" Int; req "cores" Int;
+           req "scaling"
+             (List_of
+                (Obj
+                   [ req "shards" Int; req "seconds" Num; req "speedup" Num;
+                     req "merge_seconds" Num ])) ]) ]
+
+let bandit_v12 = drop [ "resume_equivalent"; "jobs_equivalent" ] bandit_v11
+
 let run_spec = function
   | "llm4fp-bench/3" -> Some common
   | "llm4fp-bench/4" -> Some (common @ forensics)
@@ -131,6 +164,10 @@ let run_spec = function
     Some
       (common @ forensics @ reduction @ checkpoint @ watch @ engine_v8
      @ coverage_v9 @ fleet_v10 @ bandit_v11)
+  | "llm4fp-bench/12" ->
+    Some
+      (common @ forensics @ reduction @ checkpoint_v12 @ watch @ engine_v12
+     @ coverage_v9 @ fleet_v12 @ bandit_v12)
   | _ -> None
 
 let rec check_kind ctx kind (v : Obs.Json.t) =
@@ -248,6 +285,63 @@ let test_rejects_missing_field () =
   | exception _ -> ()
   | () -> Alcotest.fail "missing required field accepted"
 
+let test_v12_drops_drill_fields () =
+  let module J = Obs.Json in
+  let accepts fields =
+    match check_obj "synthetic" (Option.get (run_spec "llm4fp-bench/12")) fields
+    with
+    | exception _ -> false
+    | () -> true
+  in
+  let record ?(checkpoint = []) ?(fleet = []) ?(point = []) () =
+    [ ("schema", J.String "llm4fp-bench/12");
+      ("budget", J.Int 1);
+      ("seed", J.Int 1);
+      ("jobs", J.Int 1);
+      ("engine", J.String "vm");
+      ("end_to_end_seconds", J.Float 1.0);
+      ("frontend_cache", J.Obj [ ("runs", J.Int 0); ("hits", J.Int 0) ]);
+      ("exec_dedup", J.Obj [ ("hits", J.Int 0); ("misses", J.Int 0) ]);
+      ( "checkpoint",
+        J.Obj
+          ([ ("overhead_seconds", J.Float 0.1); ("interval", J.Int 25);
+             ("checkpoints", J.Int 3) ]
+          @ checkpoint) );
+      ( "fleet",
+        J.Obj
+          ([ ("budget", J.Int 60); ("chunk", J.Int 10); ("cores", J.Int 1);
+             ( "scaling",
+               J.List
+                 [ J.Obj
+                     ([ ("shards", J.Int 1); ("seconds", J.Float 0.1);
+                        ("speedup", J.Int 1) ]
+                     @ point) ] ) ]
+          @ fleet) );
+      ("flame_events", J.Int 0);
+      ("phases", J.List []) ]
+  in
+  check_bool "v12 record with per-shard merge time" true
+    (accepts (record ~point:[ ("merge_seconds", J.Float 0.02) ] ()));
+  check_bool "scaling entry without merge time" false (accepts (record ()));
+  check_bool "top-level fleet merge time" false
+    (accepts
+       (record
+          ~point:[ ("merge_seconds", J.Float 0.02) ]
+          ~fleet:[ ("merge_seconds", J.Float 0.02) ]
+          ()));
+  check_bool "fleet.identical" false
+    (accepts
+       (record
+          ~point:[ ("merge_seconds", J.Float 0.02) ]
+          ~fleet:[ ("identical", J.Bool true) ]
+          ()));
+  check_bool "checkpoint.resume_equivalent" false
+    (accepts
+       (record
+          ~point:[ ("merge_seconds", J.Float 0.02) ]
+          ~checkpoint:[ ("resume_equivalent", J.Bool true) ]
+          ()))
+
 let () =
   Alcotest.run "bench-schemas"
     [
@@ -259,5 +353,7 @@ let () =
             test_rejects_unknown_field;
           Alcotest.test_case "missing field rejected" `Quick
             test_rejects_missing_field;
+          Alcotest.test_case "v12 drops the drill fields" `Quick
+            test_v12_drops_drill_fields;
         ] );
     ]
