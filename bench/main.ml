@@ -434,8 +434,9 @@ let run_watch { seed; jobs; _ } =
 (* ------------------------------------------------------------------ *)
 (* Interp throughput. One compiled binary, N distinct input vectors; the
    tree interpreter re-walks the IR per call, the VM runs its flattened
-   program over one reused state. The outcomes must be bit-identical
-   (fatal otherwise) before either side is timed. *)
+   program once per vector with [Vm.run], the call the campaign makes.
+   The outcomes must be bit-identical (fatal otherwise) before either
+   side is timed. *)
 
 let run_throughput { seed; _ } =
   let n = 1000 in
@@ -450,7 +451,7 @@ let run_throughput { seed; _ } =
   let tree_once () =
     List.map (fun i -> Irsim.Interp.run rt binary.Compiler.Driver.ir i) inputs
   in
-  let vm_once () = Irsim.Vm.run_batch binary.Compiler.Driver.vm inputs in
+  let vm_once () = List.map (Irsim.Vm.run binary.Compiler.Driver.vm) inputs in
   let tree_out = tree_once () and vm_out = vm_once () in
   let same (a : Irsim.Interp.outcome) (b : Irsim.Interp.outcome) =
     Int64.bits_of_float a.Irsim.Interp.result
@@ -462,7 +463,7 @@ let run_throughput { seed; _ } =
   let total_ops =
     List.fold_left (fun acc o -> acc + o.Irsim.Interp.fp_ops) 0 tree_out
   in
-  (* Repeat whole batches until ~0.5s has elapsed so both rates average
+  (* Repeat all N vectors until ~0.5s has elapsed so both rates average
      over enough work to be stable. *)
   let time_engine f =
     ignore (f ());

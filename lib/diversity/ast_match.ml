@@ -84,8 +84,6 @@ let summarize (p : Ast.program) =
   in
   { trees; total = List.length subtrees }
 
-let subtree_count s = s.total
-
 let score ~candidate ~reference =
   if candidate.total = 0 then 1.0
   else

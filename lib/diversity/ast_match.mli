@@ -14,5 +14,3 @@ val summarize : Lang.Ast.program -> summary
 
 val score : candidate:summary -> reference:summary -> float
 (** In [0, 1]; 1.0 when the candidate has no subtrees. *)
-
-val subtree_count : summary -> int

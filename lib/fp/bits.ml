@@ -50,9 +50,6 @@ let ulp x =
     let ax = Float.abs x in
     Float.succ ax -. ax
 
-let next_up = Float.succ
-let next_down = Float.pred
-
 (* Map the sign-magnitude bit pattern onto a monotone integer line so that
    stepping by 1 walks through adjacent representable values. Negative
    values (sign bit set, i.e. negative as a signed int64) map magnitude

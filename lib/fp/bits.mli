@@ -45,12 +45,6 @@ val ulp : float -> float
 (** Unit in the last place of a finite value: the gap to the next
     representable magnitude. [ulp 0.] is the smallest subnormal. *)
 
-val next_up : float -> float
-(** Next representable value toward +infinity. *)
-
-val next_down : float -> float
-(** Next representable value toward -infinity. *)
-
 val nudge_ulps : float -> int -> float
 (** [nudge_ulps x n] moves [x] by [n] representable steps ([n] may be
     negative). Non-finite inputs are returned unchanged. *)

@@ -34,10 +34,6 @@ let decompose x =
   | Ok v -> v
   | Error e -> invalid_arg (error_to_string e)
 
-let significand_digits x =
-  let _, digits, _ = decompose x in
-  digits
-
 let diff_count a b =
   if Int64.bits_of_float a = Int64.bits_of_float b then 0
   else if not (Float.is_finite a && Float.is_finite b) then 16

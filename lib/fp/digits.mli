@@ -7,11 +7,6 @@
     digits disagree; a sign or exponent mismatch (or any non-finite operand)
     counts as all 16 digits differing. *)
 
-val significand_digits : float -> string
-(** The 16 significant decimal digits of a finite value (no sign, no
-    decimal point), e.g. [significand_digits 0.1 = "1000000000000000"].
-    Raises [Invalid_argument] on non-finite input. *)
-
 type error =
   | Non_finite of float  (** only finite values decompose *)
   | Malformed of string

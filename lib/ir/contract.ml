@@ -1,10 +1,5 @@
 type policy = No_contract | Syntactic | Cross_stmt
 
-let policy_name = function
-  | No_contract -> "none"
-  | Syntactic -> "syntactic"
-  | Cross_stmt -> "cross-statement"
-
 let rec contract_expr (e : Ir.expr) : Ir.expr =
   match e with
   | Ir.Const _ | Ir.Load _ | Ir.Load_arr _ | Ir.Itof _ -> e

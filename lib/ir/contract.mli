@@ -18,8 +18,6 @@
 
 type policy = No_contract | Syntactic | Cross_stmt
 
-val policy_name : policy -> string
-
 val contract_expr : Ir.expr -> Ir.expr
 (** The syntactic rewrite on one expression tree. *)
 

@@ -15,7 +15,8 @@ val matches : Lang.Ast.program -> t -> bool
     lengths). *)
 
 val to_argv : t -> string list
-(** Command-line rendering under the {!Pp.arg_order_doc} convention:
-    scalars as [%.17g] / decimal, arrays as consecutive entries. *)
+(** Command-line rendering under the [argv] convention of
+    {!Lang.Pp.to_c}'s [main]: parameters left to right, scalars as
+    [%.17g] / decimal, arrays as consecutive entries. *)
 
 val pp : Format.formatter -> t -> unit

@@ -53,8 +53,6 @@ type program = {
   libm : Mathlib.Libm.flavor;
 }
 
-type state = { f : float array; i : int array; a : float array array }
-
 let code_size p = Array.length p.code
 
 let instr_name p ins =
@@ -440,13 +438,6 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
     libm = rt.Interp.libm;
   }
 
-let make_state p =
-  let f = Array.make (max 1 p.n_fregs) 0.0 in
-  Array.blit p.consts 0 f p.n_f (Array.length p.consts);
-  let i = Array.make (max 1 p.n_iregs) 0 in
-  Array.blit p.iconsts 0 i p.n_i (Array.length p.iconsts);
-  { f; i; a = Array.map (fun l -> Array.make l 0.0) p.arr_lens }
-
 (* The inner loop. Every register index in [code] was placed by
    [flatten] inside the file it sized, so register and code accesses
    are unsafe; only data-dependent array subscripts keep a check, which
@@ -455,10 +446,9 @@ let make_state p =
    them: operands of arithmetic and calls are flushed on read, results
    are flushed after rounding; moves, negation, and int->float
    conversion copy raw bits. *)
-let exec p st =
+let exec p f ints arrs =
   let code = p.code in
   let stop = Array.length code in
-  let f = st.f and ints = st.i and arrs = st.a in
   let ftz = p.ftz and f32 = p.f32 in
   let precision = p.precision and flavor = p.libm in
   let nan_taken = p.nan_cmp_taken in
@@ -562,722 +552,31 @@ let exec p st =
   done;
   !ops
 
-let run_with st p (inputs : Inputs.t) =
+let run p (inputs : Inputs.t) =
   if List.length inputs <> List.length p.bindings then
     invalid_arg "Vm.run: input arity mismatch";
   let prec v = if p.f32 then Interp.round_f32 v else v in
-  (* slot registers are re-zeroed; constant registers keep their pool
-     values and temps are always written before read *)
-  Array.fill st.f 0 p.n_f 0.0;
-  Array.fill st.i 0 p.n_i 0;
-  Array.iter (fun arr -> Array.fill arr 0 (Array.length arr) 0.0) st.a;
+  (* fresh storage: slots and temps start at zero, constant registers
+     hold their pool values *)
+  let f = Array.make (max 1 p.n_fregs) 0.0 in
+  Array.blit p.consts 0 f p.n_f (Array.length p.consts);
+  let ints = Array.make (max 1 p.n_iregs) 0 in
+  Array.blit p.iconsts 0 ints p.n_i (Array.length p.iconsts);
+  let arrs = Array.map (fun l -> Array.make l 0.0) p.arr_lens in
   List.iter2
     (fun (binding : Ir.param_binding) (value : Inputs.value) ->
       match (binding, value) with
-      | Ir.Bind_fp slot, Inputs.Fp v -> st.f.(slot) <- prec v
-      | Ir.Bind_int slot, Inputs.Int v -> st.i.(slot) <- v
+      | Ir.Bind_fp slot, Inputs.Fp v -> f.(slot) <- prec v
+      | Ir.Bind_int slot, Inputs.Int v -> ints.(slot) <- v
       | Ir.Bind_arr (slot, len), Inputs.Arr a ->
         if Array.length a <> len then
           invalid_arg "Vm.run: array length mismatch";
-        let dst = st.a.(slot) in
+        let dst = arrs.(slot) in
         for k = 0 to len - 1 do
           dst.(k) <- prec a.(k)
         done
       | _ -> invalid_arg "Vm.run: input kind mismatch")
     p.bindings inputs;
-  st.f.(p.comp_slot) <- 0.0;
-  let ops = exec p st in
-  { Interp.result = st.f.(p.comp_slot); fp_ops = ops }
-
-let run p inputs = run_with (make_state p) p inputs
-
-(* ------------------------------------------------------------------ *)
-(* Batched execution: one instruction at a time across every input
-   vector at once ("lanes"). The register file and arrays become
-   lane-major unboxed arrays (register [r] of lane [l] lives at
-   [r * n + l]), so each instruction's dispatch cost is paid once and
-   its work is a tight loop over a contiguous float array.
-
-   Control flow is uniform: constant-bound loops take the same number
-   of back-edges in every lane, and an [If] body is executed under a
-   per-lane mask instead of a jump — a [Branch] narrows the mask and
-   pushes the previous one onto a region stack, to be restored when
-   the program counter reaches the branch target. A lane's sequence of
-   arithmetic operations is therefore exactly the sequence the scalar
-   engine would run, and the results are bit-identical.
-
-   A lane that trips a bounds check records its (first) trap and goes
-   permanently inactive; the others continue. Extracting the outcomes
-   re-raises the first trapped lane in input order, matching what
-   [List.map (run_with st p)] would have done. *)
-
-let exec_batch p rf ri ba ops n =
-  let code = p.code in
-  let stop = Array.length code in
-  let arr_lens = p.arr_lens in
-  let ftz = p.ftz and f32 = p.f32 in
-  let precision = p.precision and flavor = p.libm in
-  let nan_taken = p.nan_cmp_taken in
-  let prec x = if f32 then Interp.round_f32 x else x in
-  let mask = Array.make n true in
-  let trapped = Array.make n false in
-  let traps = Array.make n None in
-  let alive = ref n in
-  (* region stack: saved mask for region [k] at offset [k * n] *)
-  let rmask = ref (Array.make (4 * n) false) in
-  let rtarget = ref (Array.make 4 0) in
-  let rsp = ref 0 in
-  let push_region target =
-    if !rsp = Array.length !rtarget then begin
-      let m = Array.make (2 * Array.length !rmask) false in
-      Array.blit !rmask 0 m 0 (Array.length !rmask);
-      rmask := m;
-      let t = Array.make (2 * Array.length !rtarget) 0 in
-      Array.blit !rtarget 0 t 0 (Array.length !rtarget);
-      rtarget := t
-    end;
-    Array.blit mask 0 !rmask (!rsp * n) n;
-    !rtarget.(!rsp) <- target;
-    incr rsp
-  in
-  let pop_region () =
-    decr rsp;
-    let off = !rsp * n in
-    let saved = !rmask in
-    for l = 0 to n - 1 do
-      mask.(l) <- Array.unsafe_get saved (off + l) && not trapped.(l)
-    done
-  in
-  let kill l tr =
-    traps.(l) <- Some tr;
-    trapped.(l) <- true;
-    mask.(l) <- false;
-    decr alive
-  in
-  let first_active () =
-    let rec go l = if l >= n || Array.unsafe_get mask l then l else go (l + 1) in
-    go 0
-  in
-  (* [dense]: no region open and no lane trapped, i.e. the mask is
-     all-true — skip the per-lane mask read and count ops once in
-     [dense_ops] instead of touching the per-lane counters. [plain]:
-     FP64 without FTZ — [flush] and [prec] are the identity, so the
-     dense loops drop them too. Both tests sit outside the lane loops;
-     the common case (no divergence, default runtime) runs branch-free
-     streaming loops. *)
-  (* call-free flush: a double is subnormal iff 0 < |x| < 0x1p-1022;
-     comparisons are false on NaN, so NaN falls through unchanged,
-     exactly like {!Fp.Bits.flush_subnormal} *)
-  let flush x =
-    if ftz && abs_float x < 0x1p-1022 && x <> 0.0 then
-      if x < 0.0 then -0.0 else 0.0
-    else x
-  in
-  let plain = (not ftz) && not f32 in
-  let dense_ops = ref 0 in
-  let pc = ref 0 in
-  while !pc < stop && !alive > 0 do
-    while !rsp > 0 && !rtarget.(!rsp - 1) = !pc do
-      pop_region ()
-    done;
-    let dense = !rsp = 0 && !alive = n in
-    let ins = Array.unsafe_get code !pc in
-    incr pc;
-    match ins with
-    | Fmov (d, s) ->
-      let db = d * n and sb = s * n in
-      if dense then
-        for l = 0 to n - 1 do
-          Array.unsafe_set rf (db + l) (Array.unsafe_get rf (sb + l))
-        done
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then
-            Array.unsafe_set rf (db + l) (Array.unsafe_get rf (sb + l))
-        done
-    | Load_arr (d, id, ki) ->
-      let arr = Array.unsafe_get ba id in
-      let len = Array.unsafe_get arr_lens id in
-      let db = d * n and kb = ki * n in
-      for l = 0 to n - 1 do
-        if dense || Array.unsafe_get mask l then begin
-          let k = Array.unsafe_get ri (kb + l) in
-          if k < 0 || k >= len then
-            kill l { Interp.array = id; index = k; length = len }
-          else
-            Array.unsafe_set rf (db + l) (Array.unsafe_get arr ((k * n) + l))
-        end
-      done
-    | Itof (d, s) ->
-      let db = d * n and sb = s * n in
-      if dense && plain then
-        for l = 0 to n - 1 do
-          Array.unsafe_set rf (db + l)
-            (float_of_int (Array.unsafe_get ri (sb + l)))
-        done
-      else
-        for l = 0 to n - 1 do
-          if dense || Array.unsafe_get mask l then
-            Array.unsafe_set rf (db + l)
-              (prec (float_of_int (Array.unsafe_get ri (sb + l))))
-        done
-    | Fneg (d, s) ->
-      let db = d * n and sb = s * n in
-      if dense then
-        for l = 0 to n - 1 do
-          Array.unsafe_set rf (db + l) (-.Array.unsafe_get rf (sb + l))
-        done
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then
-            Array.unsafe_set rf (db + l) (-.Array.unsafe_get rf (sb + l))
-        done
-    | Fadd (d, a, b) ->
-      let db = d * n and ab = a * n and bb = b * n in
-      if dense then begin
-        incr dense_ops;
-        if plain then
-          for l = 0 to n - 1 do
-            Array.unsafe_set rf (db + l)
-              (Array.unsafe_get rf (ab + l) +. Array.unsafe_get rf (bb + l))
-          done
-        else if not f32 then
-          (* the fastmath hot case (FTZ, FP64): flush written out by
-             hand — a local-function call here would box its float
-             argument on every element — with the loop-invariant
-             [ftz]/[f32] tests hoisted out of the loop *)
-          for l = 0 to n - 1 do
-            let x = Array.unsafe_get rf (ab + l) in
-            let x =
-              if abs_float x < 0x1p-1022 && x <> 0.0 then
-                if x < 0.0 then -0.0 else 0.0
-              else x
-            in
-            let y = Array.unsafe_get rf (bb + l) in
-            let y =
-              if abs_float y < 0x1p-1022 && y <> 0.0 then
-                if y < 0.0 then -0.0 else 0.0
-              else y
-            in
-            let r = x +. y in
-            let r =
-              if abs_float r < 0x1p-1022 && r <> 0.0 then
-                if r < 0.0 then -0.0 else 0.0
-              else r
-            in
-            Array.unsafe_set rf (db + l) r
-          done
-        else
-          for l = 0 to n - 1 do
-            let x = flush (Array.unsafe_get rf (ab + l)) in
-            let y = flush (Array.unsafe_get rf (bb + l)) in
-            Array.unsafe_set rf (db + l) (flush (prec (x +. y)))
-          done
-      end
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then begin
-            let x = flush (Array.unsafe_get rf (ab + l)) in
-            let y = flush (Array.unsafe_get rf (bb + l)) in
-            Array.unsafe_set ops l (Array.unsafe_get ops l + 1);
-            Array.unsafe_set rf (db + l) (flush (prec (x +. y)))
-          end
-        done
-    | Fsub (d, a, b) ->
-      let db = d * n and ab = a * n and bb = b * n in
-      if dense then begin
-        incr dense_ops;
-        if plain then
-          for l = 0 to n - 1 do
-            Array.unsafe_set rf (db + l)
-              (Array.unsafe_get rf (ab + l) -. Array.unsafe_get rf (bb + l))
-          done
-        else if not f32 then
-          for l = 0 to n - 1 do
-            let x = Array.unsafe_get rf (ab + l) in
-            let x =
-              if abs_float x < 0x1p-1022 && x <> 0.0 then
-                if x < 0.0 then -0.0 else 0.0
-              else x
-            in
-            let y = Array.unsafe_get rf (bb + l) in
-            let y =
-              if abs_float y < 0x1p-1022 && y <> 0.0 then
-                if y < 0.0 then -0.0 else 0.0
-              else y
-            in
-            let r = x -. y in
-            let r =
-              if abs_float r < 0x1p-1022 && r <> 0.0 then
-                if r < 0.0 then -0.0 else 0.0
-              else r
-            in
-            Array.unsafe_set rf (db + l) r
-          done
-        else
-          for l = 0 to n - 1 do
-            let x = flush (Array.unsafe_get rf (ab + l)) in
-            let y = flush (Array.unsafe_get rf (bb + l)) in
-            Array.unsafe_set rf (db + l) (flush (prec (x -. y)))
-          done
-      end
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then begin
-            let x = flush (Array.unsafe_get rf (ab + l)) in
-            let y = flush (Array.unsafe_get rf (bb + l)) in
-            Array.unsafe_set ops l (Array.unsafe_get ops l + 1);
-            Array.unsafe_set rf (db + l) (flush (prec (x -. y)))
-          end
-        done
-    | Fmul (d, a, b) ->
-      let db = d * n and ab = a * n and bb = b * n in
-      if dense then begin
-        incr dense_ops;
-        if plain then
-          for l = 0 to n - 1 do
-            Array.unsafe_set rf (db + l)
-              (Array.unsafe_get rf (ab + l) *. Array.unsafe_get rf (bb + l))
-          done
-        else if not f32 then
-          for l = 0 to n - 1 do
-            let x = Array.unsafe_get rf (ab + l) in
-            let x =
-              if abs_float x < 0x1p-1022 && x <> 0.0 then
-                if x < 0.0 then -0.0 else 0.0
-              else x
-            in
-            let y = Array.unsafe_get rf (bb + l) in
-            let y =
-              if abs_float y < 0x1p-1022 && y <> 0.0 then
-                if y < 0.0 then -0.0 else 0.0
-              else y
-            in
-            let r = x *. y in
-            let r =
-              if abs_float r < 0x1p-1022 && r <> 0.0 then
-                if r < 0.0 then -0.0 else 0.0
-              else r
-            in
-            Array.unsafe_set rf (db + l) r
-          done
-        else
-          for l = 0 to n - 1 do
-            let x = flush (Array.unsafe_get rf (ab + l)) in
-            let y = flush (Array.unsafe_get rf (bb + l)) in
-            Array.unsafe_set rf (db + l) (flush (prec (x *. y)))
-          done
-      end
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then begin
-            let x = flush (Array.unsafe_get rf (ab + l)) in
-            let y = flush (Array.unsafe_get rf (bb + l)) in
-            Array.unsafe_set ops l (Array.unsafe_get ops l + 1);
-            Array.unsafe_set rf (db + l) (flush (prec (x *. y)))
-          end
-        done
-    | Fdiv (d, a, b) ->
-      let db = d * n and ab = a * n and bb = b * n in
-      if dense then begin
-        incr dense_ops;
-        if plain then
-          for l = 0 to n - 1 do
-            Array.unsafe_set rf (db + l)
-              (Array.unsafe_get rf (ab + l) /. Array.unsafe_get rf (bb + l))
-          done
-        else if not f32 then
-          for l = 0 to n - 1 do
-            let x = Array.unsafe_get rf (ab + l) in
-            let x =
-              if abs_float x < 0x1p-1022 && x <> 0.0 then
-                if x < 0.0 then -0.0 else 0.0
-              else x
-            in
-            let y = Array.unsafe_get rf (bb + l) in
-            let y =
-              if abs_float y < 0x1p-1022 && y <> 0.0 then
-                if y < 0.0 then -0.0 else 0.0
-              else y
-            in
-            let r = x /. y in
-            let r =
-              if abs_float r < 0x1p-1022 && r <> 0.0 then
-                if r < 0.0 then -0.0 else 0.0
-              else r
-            in
-            Array.unsafe_set rf (db + l) r
-          done
-        else
-          for l = 0 to n - 1 do
-            let x = flush (Array.unsafe_get rf (ab + l)) in
-            let y = flush (Array.unsafe_get rf (bb + l)) in
-            Array.unsafe_set rf (db + l) (flush (prec (x /. y)))
-          done
-      end
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then begin
-            let x = flush (Array.unsafe_get rf (ab + l)) in
-            let y = flush (Array.unsafe_get rf (bb + l)) in
-            Array.unsafe_set ops l (Array.unsafe_get ops l + 1);
-            Array.unsafe_set rf (db + l) (flush (prec (x /. y)))
-          end
-        done
-    | Call1 (fn, d, a) ->
-      let db = d * n and ab = a * n in
-      if dense then begin
-        incr dense_ops;
-        for l = 0 to n - 1 do
-          let x = flush (Array.unsafe_get rf (ab + l)) in
-          Array.unsafe_set rf (db + l)
-            (flush (prec (Mathlib.Libm.call1 ~precision flavor fn x)))
-        done
-      end
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then begin
-            let x = flush (Array.unsafe_get rf (ab + l)) in
-            Array.unsafe_set ops l (Array.unsafe_get ops l + 1);
-            Array.unsafe_set rf (db + l)
-              (flush (prec (Mathlib.Libm.call1 ~precision flavor fn x)))
-          end
-        done
-    | Call2 (fn, d, a, b) ->
-      let db = d * n and ab = a * n and bb = b * n in
-      if dense then begin
-        incr dense_ops;
-        for l = 0 to n - 1 do
-          let x = flush (Array.unsafe_get rf (ab + l)) in
-          let y = flush (Array.unsafe_get rf (bb + l)) in
-          Array.unsafe_set rf (db + l)
-            (flush (prec (Mathlib.Libm.call2 ~precision flavor fn x y)))
-        done
-      end
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then begin
-            let x = flush (Array.unsafe_get rf (ab + l)) in
-            let y = flush (Array.unsafe_get rf (bb + l)) in
-            Array.unsafe_set ops l (Array.unsafe_get ops l + 1);
-            Array.unsafe_set rf (db + l)
-              (flush (prec (Mathlib.Libm.call2 ~precision flavor fn x y)))
-          end
-        done
-    | Calln (fn, d, regs) ->
-      let db = d * n in
-      let nargs = Array.length regs in
-      if dense then incr dense_ops;
-      for l = 0 to n - 1 do
-        if dense || Array.unsafe_get mask l then begin
-          let args = ref [] in
-          for a = nargs - 1 downto 0 do
-            args :=
-              flush
-                (Array.unsafe_get rf ((Array.unsafe_get regs a * n) + l))
-              :: !args
-          done;
-          if not dense then
-            Array.unsafe_set ops l (Array.unsafe_get ops l + 1);
-          Array.unsafe_set rf (db + l)
-            (flush (prec (Mathlib.Libm.call ~precision flavor fn !args)))
-        end
-      done
-    | Fma (d, a, b, c) ->
-      let db = d * n and ab = a * n and bb = b * n and cb = c * n in
-      if dense then begin
-        incr dense_ops;
-        if plain then
-          for l = 0 to n - 1 do
-            Array.unsafe_set rf (db + l)
-              (Fp.Fma.contract
-                 (Array.unsafe_get rf (ab + l))
-                 (Array.unsafe_get rf (bb + l))
-                 (Array.unsafe_get rf (cb + l)))
-          done
-        else if not f32 then
-          for l = 0 to n - 1 do
-            let x = Array.unsafe_get rf (ab + l) in
-            let x =
-              if abs_float x < 0x1p-1022 && x <> 0.0 then
-                if x < 0.0 then -0.0 else 0.0
-              else x
-            in
-            let y = Array.unsafe_get rf (bb + l) in
-            let y =
-              if abs_float y < 0x1p-1022 && y <> 0.0 then
-                if y < 0.0 then -0.0 else 0.0
-              else y
-            in
-            let z = Array.unsafe_get rf (cb + l) in
-            let z =
-              if abs_float z < 0x1p-1022 && z <> 0.0 then
-                if z < 0.0 then -0.0 else 0.0
-              else z
-            in
-            let r = Fp.Fma.contract x y z in
-            let r =
-              if abs_float r < 0x1p-1022 && r <> 0.0 then
-                if r < 0.0 then -0.0 else 0.0
-              else r
-            in
-            Array.unsafe_set rf (db + l) r
-          done
-        else
-          for l = 0 to n - 1 do
-            let x = flush (Array.unsafe_get rf (ab + l)) in
-            let y = flush (Array.unsafe_get rf (bb + l)) in
-            let z = flush (Array.unsafe_get rf (cb + l)) in
-            Array.unsafe_set rf (db + l) (flush (prec (Fp.Fma.contract x y z)))
-          done
-      end
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then begin
-            let x = flush (Array.unsafe_get rf (ab + l)) in
-            let y = flush (Array.unsafe_get rf (bb + l)) in
-            let z = flush (Array.unsafe_get rf (cb + l)) in
-            Array.unsafe_set ops l (Array.unsafe_get ops l + 1);
-            Array.unsafe_set rf (db + l) (flush (prec (Fp.Fma.contract x y z)))
-          end
-        done
-    | Recip (d, s) ->
-      let db = d * n and sb = s * n in
-      if dense then begin
-        incr dense_ops;
-        if plain then
-          for l = 0 to n - 1 do
-            Array.unsafe_set rf (db + l) (1.0 /. Array.unsafe_get rf (sb + l))
-          done
-        else if not f32 then
-          for l = 0 to n - 1 do
-            let v = Array.unsafe_get rf (sb + l) in
-            let v =
-              if abs_float v < 0x1p-1022 && v <> 0.0 then
-                if v < 0.0 then -0.0 else 0.0
-              else v
-            in
-            let r = 1.0 /. v in
-            let r =
-              if abs_float r < 0x1p-1022 && r <> 0.0 then
-                if r < 0.0 then -0.0 else 0.0
-              else r
-            in
-            Array.unsafe_set rf (db + l) r
-          done
-        else
-          for l = 0 to n - 1 do
-            let v = flush (Array.unsafe_get rf (sb + l)) in
-            Array.unsafe_set rf (db + l) (flush (prec (1.0 /. v)))
-          done
-      end
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then begin
-            let v = flush (Array.unsafe_get rf (sb + l)) in
-            Array.unsafe_set ops l (Array.unsafe_get ops l + 1);
-            Array.unsafe_set rf (db + l) (flush (prec (1.0 /. v)))
-          end
-        done
-    | Iconst (d, v) ->
-      let db = d * n in
-      if dense then
-        for l = 0 to n - 1 do
-          Array.unsafe_set ri (db + l) v
-        done
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then Array.unsafe_set ri (db + l) v
-        done
-    | Ineg (d, s) ->
-      let db = d * n and sb = s * n in
-      for l = 0 to n - 1 do
-        if dense || Array.unsafe_get mask l then
-          Array.unsafe_set ri (db + l) (-Array.unsafe_get ri (sb + l))
-      done
-    | Iadd (d, a, b) ->
-      let db = d * n and ab = a * n and bb = b * n in
-      if dense then
-        for l = 0 to n - 1 do
-          Array.unsafe_set ri (db + l)
-            (Array.unsafe_get ri (ab + l) + Array.unsafe_get ri (bb + l))
-        done
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then
-            Array.unsafe_set ri (db + l)
-              (Array.unsafe_get ri (ab + l) + Array.unsafe_get ri (bb + l))
-        done
-    | Isub (d, a, b) ->
-      let db = d * n and ab = a * n and bb = b * n in
-      if dense then
-        for l = 0 to n - 1 do
-          Array.unsafe_set ri (db + l)
-            (Array.unsafe_get ri (ab + l) - Array.unsafe_get ri (bb + l))
-        done
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then
-            Array.unsafe_set ri (db + l)
-              (Array.unsafe_get ri (ab + l) - Array.unsafe_get ri (bb + l))
-        done
-    | Imul (d, a, b) ->
-      let db = d * n and ab = a * n and bb = b * n in
-      if dense then
-        for l = 0 to n - 1 do
-          Array.unsafe_set ri (db + l)
-            (Array.unsafe_get ri (ab + l) * Array.unsafe_get ri (bb + l))
-        done
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then
-            Array.unsafe_set ri (db + l)
-              (Array.unsafe_get ri (ab + l) * Array.unsafe_get ri (bb + l))
-        done
-    | Idiv (d, a, b) ->
-      let db = d * n and ab = a * n and bb = b * n in
-      for l = 0 to n - 1 do
-        if dense || Array.unsafe_get mask l then
-          Array.unsafe_set ri (db + l)
-            (Array.unsafe_get ri (ab + l) / Array.unsafe_get ri (bb + l))
-      done
-    | Iaddi (d, s, imm) ->
-      let db = d * n and sb = s * n in
-      if dense then
-        for l = 0 to n - 1 do
-          Array.unsafe_set ri (db + l) (Array.unsafe_get ri (sb + l) + imm)
-        done
-      else
-        for l = 0 to n - 1 do
-          if Array.unsafe_get mask l then
-            Array.unsafe_set ri (db + l) (Array.unsafe_get ri (sb + l) + imm)
-        done
-    | Check_arr (id, ki) ->
-      let len = Array.unsafe_get arr_lens id in
-      let kb = ki * n in
-      for l = 0 to n - 1 do
-        if dense || Array.unsafe_get mask l then begin
-          let k = Array.unsafe_get ri (kb + l) in
-          if k < 0 || k >= len then
-            kill l { Interp.array = id; index = k; length = len }
-        end
-      done
-    | Store_arr (id, ki, v) ->
-      let arr = Array.unsafe_get ba id in
-      let kb = ki * n and vb = v * n in
-      for l = 0 to n - 1 do
-        if dense || Array.unsafe_get mask l then begin
-          let k = Array.unsafe_get ri (kb + l) in
-          (* already bounds-checked by the paired Check_arr *)
-          Array.unsafe_set arr ((k * n) + l) (Array.unsafe_get rf (vb + l))
-        end
-      done
-    | Branch (cmp, la, ra, target) ->
-      let lb = la * n and rb = ra * n in
-      push_region target;
-      let live = ref false in
-      for l = 0 to n - 1 do
-        if dense || Array.unsafe_get mask l then begin
-          let lhs = Array.unsafe_get rf (lb + l) in
-          let rhs = Array.unsafe_get rf (rb + l) in
-          if Interp.ccmp ~nan_taken cmp lhs rhs then live := true
-          else mask.(l) <- false
-        end
-      done;
-      if not !live then begin
-        pop_region ();
-        pc := target
-      end
-    | Loop (islot, bound, back) ->
-      (* trip counts are uniform: every active lane entered through the
-         same Iconst and increments in lockstep, so any active lane's
-         counter decides the back-edge. With no active lane (all lanes
-         in this region trapped) fall through: nothing between here and
-         the region end can change observable state. *)
-      let l0 = if dense then 0 else first_active () in
-      if l0 < n then begin
-        let k = Array.unsafe_get ri ((islot * n) + l0) + 1 in
-        if k < bound then begin
-          let dst = islot * n in
-          if dense then
-            for l = 0 to n - 1 do
-              Array.unsafe_set ri (dst + l) k
-            done
-          else
-            for l = 0 to n - 1 do
-              if Array.unsafe_get mask l then Array.unsafe_set ri (dst + l) k
-            done;
-          pc := back
-        end
-      end
-  done;
-  (* ops executed while dense apply to every lane; a trapped lane's
-     count is never observed (its outcome re-raises the trap), so the
-     unconditional add is safe *)
-  if !dense_ops > 0 then
-    for l = 0 to n - 1 do
-      ops.(l) <- ops.(l) + !dense_ops
-    done;
-  traps
-
-let run_batch p inputs_list =
-  let n = List.length inputs_list in
-  if n = 0 then []
-  else begin
-    let prec v = if p.f32 then Interp.round_f32 v else v in
-    let rf = Array.make (max 1 (p.n_fregs * n)) 0.0 in
-    let ri = Array.make (max 1 (p.n_iregs * n)) 0 in
-    let ba = Array.map (fun len -> Array.make (max 1 (len * n)) 0.0) p.arr_lens in
-    let ops = Array.make n 0 in
-    (* broadcast the constant pools into their registers *)
-    Array.iteri
-      (fun c v ->
-        let base = (p.n_f + c) * n in
-        for l = 0 to n - 1 do
-          rf.(base + l) <- v
-        done)
-      p.consts;
-    Array.iteri
-      (fun c v ->
-        let base = (p.n_i + c) * n in
-        for l = 0 to n - 1 do
-          ri.(base + l) <- v
-        done)
-      p.iconsts;
-    List.iteri
-      (fun l (inputs : Inputs.t) ->
-        if List.length inputs <> List.length p.bindings then
-          invalid_arg "Vm.run: input arity mismatch";
-        List.iter2
-          (fun (binding : Ir.param_binding) (value : Inputs.value) ->
-            match (binding, value) with
-            | Ir.Bind_fp slot, Inputs.Fp v -> rf.((slot * n) + l) <- prec v
-            | Ir.Bind_int slot, Inputs.Int v -> ri.((slot * n) + l) <- v
-            | Ir.Bind_arr (slot, len), Inputs.Arr a ->
-              if Array.length a <> len then
-                invalid_arg "Vm.run: array length mismatch";
-              let dst = ba.(slot) in
-              for k = 0 to len - 1 do
-                dst.((k * n) + l) <- prec a.(k)
-              done
-            | _ -> invalid_arg "Vm.run: input kind mismatch")
-          p.bindings inputs)
-      inputs_list;
-    for l = 0 to n - 1 do
-      rf.((p.comp_slot * n) + l) <- 0.0
-    done;
-    let traps = exec_batch p rf ri ba ops n in
-    (* extract in input order so the first trapped lane raises exactly
-       as [List.map (run_with st p)] would have *)
-    let rec extract l acc =
-      if l = n then List.rev acc
-      else
-        match traps.(l) with
-        | Some t -> raise (Interp.Trap t)
-        | None ->
-          extract (l + 1)
-            ({ Interp.result = rf.((p.comp_slot * n) + l); fp_ops = ops.(l) }
-            :: acc)
-    in
-    extract 0 []
-  end
+  f.(p.comp_slot) <- 0.0;
+  let ops = exec p f ints arrs in
+  { Interp.result = f.(p.comp_slot); fp_ops = ops }

@@ -21,15 +21,11 @@
     {!Interp.Trap} as the reference engine).
 
     Results are bit-exact with {!Interp.run} — same values, same
-    [fp_ops] — which the [vm-equiv] property suite and the bench
-    equivalence drill enforce. *)
+    [fp_ops] — which the [vm-equiv] property suite and the tier-1
+    program-level check [Helpers.check_vm_matches_reference] enforce. *)
 
 type program
 (** A flattened, runtime-bound program, ready to execute many times. *)
-
-type state
-(** Reusable register storage for a program. A state is valid only for
-    the program it was created from. *)
 
 val flatten : Interp.runtime -> Ir.t -> program
 (** Compile the IR under the given runtime. Validates every slot index
@@ -44,19 +40,8 @@ val disasm : program -> string list
 (** One printable line per flat instruction, in code order (for tests
     and diagnostics). *)
 
-val make_state : program -> state
-(** Fresh storage sized for [program]: slots and temps zeroed, constant
-    registers preloaded from the pool. *)
-
-val run_with : state -> program -> Inputs.t -> Interp.outcome
-(** Execute one input vector, reusing [state]'s storage (slot registers
-    are re-zeroed first, so results are independent of prior runs). Raises
+val run : program -> Inputs.t -> Interp.outcome
+(** Execute one input vector on fresh storage: slots and temps start at
+    zero, constant registers hold their pool values. Raises
     [Invalid_argument] on an input vector that does not match the
     program's bindings, {!Interp.Trap} on an out-of-bounds subscript. *)
-
-val run : program -> Inputs.t -> Interp.outcome
-(** [run p inputs] is [run_with (make_state p) p inputs]. *)
-
-val run_batch : program -> Inputs.t list -> Interp.outcome list
-(** Execute every input vector in one pass over a single reused state —
-    the compile-once/run-many entry point for batched evaluation. *)

@@ -111,11 +111,6 @@ let compute_to_string ?(cuda = false) (p : Ast.program) =
     ((header :: decl_comp :: body_lines p.precision 1 p.body)
     @ [ print_result; "}" ])
 
-let arg_order_doc =
-  "argv convention: parameters are read left to right; an int parameter \
-   consumes one argv entry (atoi), a scalar fp parameter one entry (atof), \
-   and an fp array of length L consumes L consecutive entries."
-
 let includes = [ "#include <stdio.h>"; "#include <stdlib.h>"; "#include <math.h>" ]
 
 let main_reads (p : Ast.program) =

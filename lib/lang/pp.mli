@@ -44,7 +44,3 @@ val to_c : Ast.program -> string
 val to_cuda : Ast.program -> string
 (** Full device translation unit with managed allocations and a
     single-thread kernel launch. *)
-
-val arg_order_doc : string
-(** Human-readable description of the [argv] convention shared with the
-    input generator. *)

@@ -10,11 +10,10 @@
    registry itself is mutex-guarded; snapshots are name-sorted, making
    the rendered table deterministic. *)
 
-type counter = { c_name : string; count : int Atomic.t }
-type gauge = { g_name : string; value : float Atomic.t }
+type counter = { count : int Atomic.t }
+type gauge = { value : float Atomic.t }
 
 type histogram = {
-  h_name : string;
   h_lock : Mutex.t;
   bounds : float array;  (* strictly increasing upper bounds *)
   counts : int array;    (* length = Array.length bounds + 1 (overflow) *)
@@ -52,18 +51,17 @@ let counter name =
   get_or_create name
     (function C c -> Some c | _ -> None)
     (fun () ->
-      let c = { c_name = name; count = Atomic.make 0 } in
+      let c = { count = Atomic.make 0 } in
       (c, C c))
 
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.count by)
 let counter_value c = Atomic.get c.count
-let counter_name c = c.c_name
 
 let gauge name =
   get_or_create name
     (function G g -> Some g | _ -> None)
     (fun () ->
-      let g = { g_name = name; value = Atomic.make 0.0 } in
+      let g = { value = Atomic.make 0.0 } in
       (g, G g))
 
 let set g v = Atomic.set g.value v
@@ -73,7 +71,6 @@ let rec add g v =
   if not (Atomic.compare_and_set g.value cur (cur +. v)) then add g v
 
 let gauge_value g = Atomic.get g.value
-let gauge_name g = g.g_name
 
 let histogram ?(buckets = default_buckets) name =
   let ok = ref true in
@@ -87,7 +84,6 @@ let histogram ?(buckets = default_buckets) name =
     (fun () ->
       let h =
         {
-          h_name = name;
           h_lock = Mutex.create ();
           bounds = Array.copy buckets;
           counts = Array.make (Array.length buckets + 1) 0;
@@ -106,14 +102,6 @@ let observe h x =
   h.observations <- h.observations + 1;
   h.sum <- h.sum +. x;
   Mutex.unlock h.h_lock
-
-let histogram_count h =
-  Mutex.lock h.h_lock;
-  let n = h.observations in
-  Mutex.unlock h.h_lock;
-  n
-
-let histogram_name h = h.h_name
 
 (* Prometheus-style bucket quantile: find the bucket holding rank
    ceil(q*n) and interpolate linearly between its bounds. The overflow

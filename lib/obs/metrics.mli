@@ -20,13 +20,11 @@ val counter : string -> counter
 
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
-val counter_name : counter -> string
 
 val gauge : string -> gauge
 val set : gauge -> float -> unit
 val add : gauge -> float -> unit
 val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 
 val default_buckets : float array
 (** [0.001; 0.01; 0.1; 1; 10; 100] — decade buckets in seconds. *)
@@ -36,8 +34,6 @@ val histogram : ?buckets:float array -> string -> histogram
     is added beyond the last. Defaults to {!default_buckets}. *)
 
 val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
-val histogram_name : histogram -> string
 
 val percentile_of : bounds:float array -> counts:int array -> float -> float
 (** [percentile_of ~bounds ~counts q] estimates the [q]-quantile

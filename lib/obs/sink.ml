@@ -11,9 +11,6 @@ let no_sync () = None
 let make ?(close = fun () -> ()) ?(sync = no_sync) emit =
   { emit = (fun _ ev -> emit ev); close; sync }
 
-let make_stamped ?(close = fun () -> ()) ?(sync = no_sync) emit =
-  { emit; close; sync }
-
 let null = { emit = (fun _ _ -> ()); close = (fun () -> ()); sync = no_sync }
 
 let deliver t stamp ev = t.emit stamp ev

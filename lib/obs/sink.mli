@@ -27,13 +27,6 @@ val make :
     buffered output and reports the current byte position, if the sink
     has a meaningful one (default: [fun () -> None]). *)
 
-val make_stamped :
-  ?close:(unit -> unit) ->
-  ?sync:(unit -> int option) ->
-  (stamp -> Event.t -> unit) ->
-  t
-(** A sink that also sees each event's ordering stamp. *)
-
 val null : t
 (** Swallows everything. Subscribing it still turns {!Trace.on} on;
     for zero overhead simply subscribe nothing. *)

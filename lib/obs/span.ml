@@ -53,8 +53,6 @@ let is_enabled () = Atomic.get enabled
 let clock_key : Util.Sim_clock.t option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let set_clock c = Domain.DLS.set clock_key c
-
 let with_clock c f =
   let saved = Domain.DLS.get clock_key in
   Domain.DLS.set clock_key (Some c);

@@ -27,13 +27,12 @@
 val set_enabled : bool -> unit
 val is_enabled : unit -> bool
 
-val set_clock : Util.Sim_clock.t option -> unit
-(** Attach the simulated clock whose delta each span should also
-    capture (the campaign runner attaches its own for the duration of
-    a run). The attachment is domain-local. *)
-
 val with_clock : Util.Sim_clock.t -> (unit -> 'a) -> 'a
-(** Scoped {!set_clock} with restore (exception-safe). *)
+(** [with_clock c f] runs [f] with [c] attached as the simulated clock
+    whose delta each span should also capture (the campaign runner
+    attaches its own for the duration of a run), then restores the
+    previous attachment (exception-safe). The attachment is
+    domain-local. *)
 
 val charge_sim : float -> unit
 (** Charge simulated seconds to the attached clock, if any (no-op

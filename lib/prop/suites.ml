@@ -337,21 +337,12 @@ let vm_equiv =
       let config = List.nth vm_configs k in
       match Compiler.Driver.compile config p with
       | Error _ -> true (* nothing to execute *)
-      | Ok binary -> begin
+      | Ok binary ->
         let rt = Compiler.Config.runtime binary.Compiler.Driver.config in
         let tree = Irsim.Interp.run rt binary.Compiler.Driver.ir inputs in
-        (* a batch of two through one reused state also proves the
-           state reset between vectors *)
-        match
-          Irsim.Vm.run_batch binary.Compiler.Driver.vm [ inputs; inputs ]
-        with
-        | [ first; second ] ->
-          same_bits tree.Irsim.Interp.result first.Irsim.Interp.result
-          && tree.Irsim.Interp.fp_ops = first.Irsim.Interp.fp_ops
-          && same_bits first.Irsim.Interp.result second.Irsim.Interp.result
-          && first.Irsim.Interp.fp_ops = second.Irsim.Interp.fp_ops
-        | _ -> false
-      end)
+        let vm = Irsim.Vm.run binary.Compiler.Driver.vm inputs in
+        same_bits tree.Irsim.Interp.result vm.Irsim.Interp.result
+        && tree.Irsim.Interp.fp_ops = vm.Irsim.Interp.fp_ops)
 
 (* ------------------------------------------------------------------ *)
 (* Fleet merge laws *)

@@ -10,7 +10,6 @@ let create seed = { state = seed; spare = None }
 let of_int seed = create (Int64.of_int seed)
 let copy t = { state = t.state; spare = t.spare }
 let state t = (t.state, t.spare)
-let of_state (state, spare) = { state; spare }
 
 let set_state t (state, spare) =
   t.state <- state;

@@ -23,10 +23,8 @@ val copy : t -> t
 val state : t -> int64 * float option
 (** [state t] exposes the full generator state — the SplitMix64 counter
     and the banked Box–Muller half — for durable snapshots.
-    [of_state (state t)] replays [t]'s future stream exactly. *)
-
-val of_state : int64 * float option -> t
-(** Rebuild a generator from a {!state} snapshot. *)
+    [set_state u (state t)] makes [u] replay [t]'s future stream
+    exactly. *)
 
 val set_state : t -> int64 * float option -> unit
 (** Overwrite a generator's state in place with a {!state} snapshot

@@ -215,8 +215,8 @@ let test_vm_matches_tree_all_runtimes () =
       done)
     vm_runtimes
 
-let test_vm_batch_divergent_lanes () =
-  (* lanes fall on both sides of the branch (and some hit the NaN
+let test_vm_divergent_branches () =
+  (* inputs fall on both sides of each branch (and 0.0 hits the NaN
      comparison path through 0/0) yet stay bit-identical to the tree *)
   let src = {|
 void compute(double x) {
@@ -237,11 +237,13 @@ void compute(double x) {
   List.iter
     (fun (name, rt) ->
       let vm = Irsim.Vm.flatten rt ir in
-      let tree = List.map (Irsim.Interp.run rt ir) inputs in
-      let batch = Irsim.Vm.run_batch vm inputs in
       List.iteri
-        (fun l (a, b) -> same_outcome (Printf.sprintf "%s lane %d" name l) a b)
-        (List.combine tree batch))
+        (fun k input ->
+          same_outcome
+            (Printf.sprintf "%s input %d" name k)
+            (Irsim.Interp.run rt ir input)
+            (Irsim.Vm.run vm input))
+        inputs)
     vm_runtimes
 
 let test_vm_loop_residual_counter () =
@@ -287,25 +289,6 @@ let test_vm_trap_matches_tree () =
       let reg = trap_of (fun () -> Irsim.Vm.run vm (oob_inputs n)) in
       check_bool (Printf.sprintf "same trap for n=%d" n) true (tree = reg))
     [ 0; 7; 8; -1; 100 ]
-
-let test_vm_batch_trap_order () =
-  (* the first trapped lane in input order raises, exactly as a
-     sequential List.map would *)
-  let vm = Irsim.Vm.flatten strict_rt oob_ir in
-  let batch = List.map oob_inputs [ 3; 12; 0; -1 ] in
-  (match trap_of (fun () -> Irsim.Vm.run_batch vm batch) with
-  | Some t ->
-    check_int "array" 0 t.Irsim.Interp.array;
-    check_int "index of first bad lane" 12 t.Irsim.Interp.index;
-    check_int "length" 8 t.Irsim.Interp.length
-  | None -> Alcotest.fail "batch did not trap");
-  (* surviving-lane results are unaffected by a prior trapping batch *)
-  let ok = List.map oob_inputs [ 2; 5 ] in
-  let a = Irsim.Vm.run_batch vm ok in
-  let b = List.map (Irsim.Vm.run vm) ok in
-  List.iteri
-    (fun l (x, y) -> same_outcome (Printf.sprintf "clean lane %d" l) x y)
-    (List.combine a b)
 
 let test_vm_flatten_rejects_bad_ir () =
   let bad =
@@ -654,13 +637,12 @@ let () =
         [
           Alcotest.test_case "matches tree across runtimes" `Quick
             test_vm_matches_tree_all_runtimes;
-          Alcotest.test_case "batch with divergent lanes" `Quick
-            test_vm_batch_divergent_lanes;
+          Alcotest.test_case "divergent branches match tree" `Quick
+            test_vm_divergent_branches;
           Alcotest.test_case "loop residual counter" `Quick
             test_vm_loop_residual_counter;
           Alcotest.test_case "trap matches tree" `Quick
             test_vm_trap_matches_tree;
-          Alcotest.test_case "batch trap order" `Quick test_vm_batch_trap_order;
           Alcotest.test_case "flatten rejects bad IR" `Quick
             test_vm_flatten_rejects_bad_ir;
         ] );
