@@ -146,6 +146,30 @@ let qcheck_codebleu_bounds =
       in
       s >= 0.0 && s <= 1.0)
 
+(* Table 3 golden: the rendered table plus each approach's corpus mean
+   in hex, on the all-pairs path and on the sampled path, for one
+   fixed-seed suite. Any change to the scorer's arithmetic shows up
+   here bit for bit. *)
+
+let golden_seed = 20250704
+
+let table3_golden_text () =
+  let suite = Harness.Experiments.run_suite ~budget:20 ~seed:golden_seed () in
+  let means =
+    Array.to_list Harness.Approach.all
+    |> List.map (fun a ->
+           let programs = (Harness.Experiments.outcome suite a).programs in
+           let mean ?max_pairs () =
+             Diversity.Codebleu.corpus_mean ?max_pairs ~seed:suite.seed programs
+           in
+           Printf.sprintf "%s all=%h sampled50=%h\n" (Harness.Approach.name a)
+             (mean ()) (mean ~max_pairs:50 ()))
+  in
+  Harness.Experiments.table3 suite ^ String.concat "" means
+
+let test_table3_golden () =
+  check_golden "table 3" ~golden:"golden/table3.txt" (table3_golden_text ())
+
 (* ------------------------------------------------------------------ *)
 (* Clones *)
 
@@ -209,6 +233,7 @@ let () =
           Alcotest.test_case "corpus mean" `Quick test_corpus_mean_small;
           Alcotest.test_case "sampled deterministic" `Quick test_corpus_mean_sampled_deterministic;
           QCheck_alcotest.to_alcotest qcheck_codebleu_bounds;
+          Alcotest.test_case "table 3 golden" `Slow test_table3_golden;
         ] );
       ( "clones",
         [
