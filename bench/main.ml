@@ -5,7 +5,8 @@
      tables      the four campaigns and every table and figure of the
                  paper's evaluation (Tables 1–6, Figure 3), printing the
                  rows the paper reports; EXPERIMENTS.md records
-                 paper-vs-measured values
+                 paper-vs-measured values. Before timing the tables it
+                 checks CodeBLEU against the string-keyed reference
      ablation    compiler-mechanism ablation over a 300-program corpus
      fp32        FP32-vs-FP64 extension at budget 300
      forensics   flight-recorder overhead at budget 100
@@ -199,18 +200,56 @@ let run_micro _ =
 (* ------------------------------------------------------------------ *)
 (* Table/figure regeneration. *)
 
+(* The merge-join CodeBLEU scorer must equal the string-keyed reference
+   (Prop.Codebleu_ref) bit for bit on every ordered pair, self pairs
+   included, among the first [reference_programs] programs of each
+   paper corpus. Fatal otherwise; runs outside the timed sections. *)
+let reference_programs = 60
+
+let check_codebleu_reference suite =
+  Array.iter
+    (fun approach ->
+      let programs =
+        (Harness.Experiments.outcome suite approach).Harness.Campaign.programs
+        |> List.filteri (fun i _ -> i < reference_programs)
+      in
+      let summaries summarize = Array.of_list (List.map summarize programs) in
+      let fast = summaries Diversity.Codebleu.summarize in
+      let slow = summaries Prop.Codebleu_ref.summarize in
+      Array.iteri
+        (fun i a ->
+          Array.iteri
+            (fun j b ->
+              let got =
+                Diversity.Codebleu.pair_score ~candidate:a ~reference:b
+              in
+              let want =
+                Prop.Codebleu_ref.pair_score ~candidate:slow.(i)
+                  ~reference:slow.(j)
+              in
+              if Int64.bits_of_float got <> Int64.bits_of_float want then
+                fatal "CodeBLEU of %s pair (%d, %d) is %h, reference %h"
+                  (Harness.Approach.name approach) i j got want)
+            fast)
+        fast)
+    Harness.Approach.all
+
 let run_tables { budget; seed; jobs; max_pairs } =
   Printf.printf
     "== experiment harness: regenerating every table and figure (budget \
      %d per approach, %d jobs) ==\n\n"
     budget jobs;
-  let (), elapsed =
-    timed (fun () ->
-        let suite = Harness.Experiments.run_suite ~budget ~jobs ~seed () in
-        List.iter
-          (fun (name, text) -> Printf.printf "== %s ==\n%s\n" name text)
-          (Harness.Experiments.all_tables ~max_pairs ~jobs suite))
+  let suite, campaigns_s =
+    timed (fun () -> Harness.Experiments.run_suite ~budget ~jobs ~seed ())
   in
+  check_codebleu_reference suite;
+  let tables, tables_s =
+    timed (fun () -> Harness.Experiments.all_tables ~max_pairs ~jobs suite)
+  in
+  List.iter
+    (fun (name, text) -> Printf.printf "== %s ==\n%s\n" name text)
+    tables;
+  let elapsed = campaigns_s +. tables_s in
   Printf.printf "(real compute for all campaigns + tables: %.1fs)\n" elapsed;
   [ ("tables_seconds", J.Float elapsed) ]
 

@@ -113,6 +113,15 @@ let approach_arg =
   let print fmt a = Format.pp_print_string fmt (Harness.Approach.name a) in
   Arg.conv (parse, print)
 
+(* An integer option that must be at least 1. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* ------------------------------------------------------------------ *)
 
 let cmd_generate =
@@ -960,8 +969,8 @@ let cmd_tables =
                    figure3, table4, table5, table6).")
   in
   let max_pairs =
-    Arg.(value & opt int 50_000 & info [ "max-pairs" ] ~docv:"N"
-           ~doc:"CodeBLEU pair-sample bound per approach.")
+    Arg.(value & opt positive_int 50_000 & info [ "max-pairs" ] ~docv:"N"
+           ~doc:"CodeBLEU pair-sample bound per approach (at least 1).")
   in
   let csv =
     Arg.(value & flag

@@ -12,5 +12,10 @@ type summary
 
 val summarize : Lang.Ast.program -> summary
 
-val score : candidate:summary -> reference:summary -> float
-(** In [0, 1]; 1.0 when the candidate has no subtrees. *)
+val matched : summary -> summary -> float
+(** Clipped count of subtrees the two summaries share. Symmetric. *)
+
+val score : candidate:summary -> float -> float
+(** [score ~candidate (matched candidate reference)]: the share of the
+    candidate's subtrees found in the reference, in [0, 1]; 1.0 when
+    the candidate has no subtrees. *)

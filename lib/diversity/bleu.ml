@@ -1,77 +1,73 @@
 let max_order = 4
 
-module Smap = Map.Make (String)
-
-type ngram_table = {
-  len : int;
-  (* per order (index 0 = unigrams): ngram -> weighted count *)
-  counts : float Smap.t array;
-  totals : float array;
+type table = {
+  toks : string array;
+  (* per order (index 0 = unigrams), the n-grams by start position in
+     [toks]; column 0 plain, column 1 weighted *)
+  orders : int Multiset.t array;
 }
 
-let ngrams_of tokens n =
-  let arr = Array.of_list tokens in
-  let len = Array.length arr in
-  let out = ref [] in
-  for i = 0 to len - n do
-    let gram = String.concat "\x00" (Array.to_list (Array.sub arr i n)) in
-    out := (i, gram) :: !out
-  done;
-  List.rev !out
+(* Order of the n-grams at [p] in [a] and [q] in [b], token by token
+   from offset [k]. *)
+let rec compare_from n a b p q k =
+  if k = n then 0
+  else
+    let c = String.compare a.(p + k) b.(q + k) in
+    if c <> 0 then c else compare_from n a b p q (k + 1)
 
-let table_weighted ~weight tokens =
-  let arr = Array.of_list tokens in
-  let counts =
+let compare_grams n a b p q = compare_from n a b p q 0
+
+let table ?(weight = fun _ -> 1.0) tokens =
+  let toks = Array.of_list tokens in
+  let len = Array.length toks in
+  (* Per start position, the hash and the weight (max token weight, at
+     least 1) of the n-gram of the order being built, extended by one
+     token per order. *)
+  let hash = Array.make len 0 and wmax = Array.make len 1.0 in
+  let orders =
     Array.init max_order (fun k ->
-        let n = k + 1 in
-        List.fold_left
-          (fun map (i, gram) ->
-            let w =
-              (* weight of an n-gram = max weight of its tokens *)
-              let rec max_w j acc =
-                if j >= i + n then acc
-                else max_w (j + 1) (Float.max acc (weight arr.(j)))
-              in
-              max_w i 1.0
-            in
-            Smap.update gram
-              (function None -> Some w | Some c -> Some (c +. w))
-              map)
-          Smap.empty (ngrams_of tokens n))
+        let count = max 0 (len - k) in
+        for pos = 0 to count - 1 do
+          let t = toks.(pos + k) in
+          hash.(pos) <- (hash.(pos) * 31) + Hashtbl.hash t;
+          wmax.(pos) <- Float.max wmax.(pos) (weight t)
+        done;
+        Multiset.build
+          ~hash:(fun pos -> hash.(pos))
+          ~compare:(compare_grams (k + 1) toks toks)
+          ~weights:[| (fun _ -> 1.0); (fun pos -> wmax.(pos)) |]
+          (Array.init count Fun.id))
   in
-  let totals =
-    Array.map (fun map -> Smap.fold (fun _ c acc -> acc +. c) map 0.0) counts
-  in
-  { len = Array.length arr; counts; totals }
+  { toks; orders }
 
-let table tokens = table_weighted ~weight:(fun _ -> 1.0) tokens
+let length t = Array.length t.toks
 
-let length t = t.len
+type matched = float array array
 
-let score ~candidate ~reference =
-  if candidate.len = 0 then if reference.len = 0 then 1.0 else 0.0
+let matched a b =
+  Array.init max_order (fun k ->
+      Multiset.matched
+        ~compare:(compare_grams (k + 1) a.toks b.toks)
+        a.orders.(k) b.orders.(k))
+
+let score ?(weighted = false) ~candidate ~reference m =
+  let col = if weighted then 1 else 0 in
+  let cand_len = length candidate and ref_len = length reference in
+  if cand_len = 0 then if ref_len = 0 then 1.0 else 0.0
   else begin
     let log_sum = ref 0.0 in
     for k = 0 to max_order - 1 do
-      let matched =
-        Smap.fold
-          (fun gram c acc ->
-            match Smap.find_opt gram reference.counts.(k) with
-            | None -> acc
-            | Some r -> acc +. Float.min c r)
-          candidate.counts.(k) 0.0
-      in
-      let total = candidate.totals.(k) in
+      let total = Multiset.total candidate.orders.(k) col in
       let precision =
         if total <= 0.0 then 1.0 (* candidate shorter than the order *)
-        else Float.max (matched /. total) 1e-9
+        else Float.max (m.(k).(col) /. total) 1e-9
       in
       log_sum := !log_sum +. log precision
     done;
     let geo = exp (!log_sum /. float_of_int max_order) in
     let bp =
-      if candidate.len >= reference.len then 1.0
-      else exp (1.0 -. (float_of_int reference.len /. float_of_int candidate.len))
+      if cand_len >= ref_len then 1.0
+      else exp (1.0 -. (float_of_int ref_len /. float_of_int cand_len))
     in
     geo *. bp
   end

@@ -5,20 +5,34 @@
     penalty. The weighted variant multiplies each n-gram's count by the
     maximum token weight it contains (keywords weigh more), following the
     reference implementation's keyword-weighted unigram idea extended to
-    all orders. *)
+    all orders.
 
-type ngram_table
-(** Precomputed clipped-count tables for one token sequence (orders
-    1..4), reusable across many pairings. *)
+    A table stores, per order, the sequence's distinct n-grams as slices
+    of its own token array in a {!Multiset} with two count columns:
+    plain (every n-gram counts 1) and weighted. No n-gram string is
+    ever built. *)
 
-val table : string list -> ngram_table
-val table_weighted : weight:(string -> float) -> string list -> ngram_table
+type table
+(** Clipped-count tables of one token sequence (orders 1..4, plain and
+    weighted), reusable across many pairings. *)
 
-val score : candidate:ngram_table -> reference:ngram_table -> float
-(** Geometric mean of modified precisions times brevity penalty, in
-    [0, 1]. Empty candidates score 0 against non-empty references and 1
-    against empty ones. Smoothing: zero precisions are floored at
+val table : ?weight:(string -> float) -> string list -> table
+(** [weight] (default: 1 for every token) sets the weighted column. *)
+
+type matched
+(** Clipped n-gram matches of two tables, per order and column. *)
+
+val matched : table -> table -> matched
+(** Symmetric: [matched a b] serves both directions of the pair. *)
+
+val score :
+  ?weighted:bool -> candidate:table -> reference:table -> matched -> float
+(** [score ~candidate ~reference (matched candidate reference)]:
+    geometric mean of modified precisions times brevity penalty, in
+    [0, 1], from the plain column or, with [~weighted:true], the
+    weighted one. Empty candidates score 0 against non-empty references
+    and 1 against empty ones. Smoothing: zero precisions are floored at
     [1e-9] before the geometric mean (standard smoothing-epsilon). *)
 
-val length : ngram_table -> int
+val length : table -> int
 (** Token count of the underlying sequence. *)

@@ -1,9 +1,7 @@
 type summary = {
-  plain : Bleu.ngram_table;
-  weighted : Bleu.ngram_table;
+  tokens : Bleu.table;  (* plain and keyword-weighted columns *)
   ast : Ast_match.summary;
-  edges : (string * string, int) Hashtbl.t;
-  n_edges : int;
+  edges : (string * string) Multiset.t;  (* (def, use), alpha-normalized *)
 }
 
 let keyword_weight tok = if Cparse.Lex.is_keyword tok then 4.0 else 1.0
@@ -12,50 +10,58 @@ let tokens_of (p : Lang.Ast.program) =
   Cparse.Lex.tokens (Lang.Pp.compute_to_string p)
   |> List.map Cparse.Lex.to_string
 
+let compare_edges (d, u) (d', u') =
+  let c = String.compare d d' in
+  if c <> 0 then c else String.compare u u'
+
 let summarize p =
-  let tokens = tokens_of p in
-  let edges = Hashtbl.create 32 in
-  let edge_list = Analysis.Dataflow.edges p in
-  List.iter
-    (fun (e : Analysis.Dataflow.edge) ->
-      let key = (e.def, e.use) in
-      Hashtbl.replace edges key
-        (1 + Option.value (Hashtbl.find_opt edges key) ~default:0))
-    edge_list;
+  let edges =
+    List.map
+      (fun (e : Analysis.Dataflow.edge) -> (e.def, e.use))
+      (Analysis.Dataflow.edges p)
+  in
   {
-    plain = Bleu.table tokens;
-    weighted = Bleu.table_weighted ~weight:keyword_weight tokens;
+    tokens = Bleu.table ~weight:keyword_weight (tokens_of p);
     ast = Ast_match.summarize p;
-    edges;
-    n_edges = List.length edge_list;
+    edges =
+      Multiset.build ~hash:Hashtbl.hash ~compare:compare_edges
+        ~weights:[| (fun _ -> 1.0) |] (Array.of_list edges);
   }
 
-let dataflow_score ~candidate ~reference =
-  if candidate.n_edges = 0 then 1.0
-  else begin
-    let matched = ref 0 in
-    Hashtbl.iter
-      (fun key c ->
-        match Hashtbl.find_opt reference.edges key with
-        | None -> ()
-        | Some r -> matched := !matched + min c r)
-      candidate.edges;
-    float_of_int !matched /. float_of_int candidate.n_edges
-  end
+(* Clipped matches of every component. min is symmetric, so one
+   merge-join per component serves both directions of a pair. *)
+type matched = { bleu : Bleu.matched; ast : float; df : float }
+
+let matched a b =
+  {
+    bleu = Bleu.matched a.tokens b.tokens;
+    ast = Ast_match.matched a.ast b.ast;
+    df = (Multiset.matched ~compare:compare_edges a.edges b.edges).(0);
+  }
+
+let directed ~candidate ~reference m =
+  let bleu ~weighted =
+    Bleu.score ~weighted ~candidate:candidate.tokens
+      ~reference:reference.tokens m.bleu
+  in
+  let ast = Ast_match.score ~candidate:candidate.ast m.ast in
+  let df =
+    let n_edges = Multiset.total candidate.edges 0 in
+    if n_edges = 0.0 then 1.0 else m.df /. n_edges
+  in
+  0.25 *. (bleu ~weighted:false +. bleu ~weighted:true +. ast +. df)
 
 let pair_score ~candidate ~reference =
-  let bleu = Bleu.score ~candidate:candidate.plain ~reference:reference.plain in
-  let wbleu =
-    Bleu.score ~candidate:candidate.weighted ~reference:reference.weighted
-  in
-  let ast = Ast_match.score ~candidate:candidate.ast ~reference:reference.ast in
-  let df = dataflow_score ~candidate ~reference in
-  0.25 *. (bleu +. wbleu +. ast +. df)
+  directed ~candidate ~reference (matched candidate reference)
 
 let symmetric a b =
-  0.5 *. (pair_score ~candidate:a ~reference:b +. pair_score ~candidate:b ~reference:a)
+  let m = matched a b in
+  0.5
+  *. (directed ~candidate:a ~reference:b m
+     +. directed ~candidate:b ~reference:a m)
 
 let corpus_mean ?(max_pairs = 200_000) ~seed programs =
+  if max_pairs < 1 then invalid_arg "Codebleu.corpus_mean: max_pairs < 1";
   let summaries = Array.of_list (List.map summarize programs) in
   let n = Array.length summaries in
   if n < 2 then 0.0

@@ -288,10 +288,11 @@ let bleu_range =
   make_suite "bleu-range" "BLEU score of any program pair lies in [0, 1]"
     program_pair
     (fun (a, b) ->
+      let ta = Diversity.Bleu.table (tokens a) in
+      let tb = Diversity.Bleu.table (tokens b) in
       let s =
-        Diversity.Bleu.score
-          ~candidate:(Diversity.Bleu.table (tokens a))
-          ~reference:(Diversity.Bleu.table (tokens b))
+        Diversity.Bleu.score ~candidate:ta ~reference:tb
+          (Diversity.Bleu.matched ta tb)
       in
       s >= 0.0 && s <= 1.0)
 
@@ -299,7 +300,55 @@ let bleu_self =
   make_suite "bleu-self" "BLEU self-score of any program is 1" Arb.program
     (fun p ->
       let t = Diversity.Bleu.table (tokens p) in
-      Float.abs (Diversity.Bleu.score ~candidate:t ~reference:t -. 1.0) < 1e-9)
+      let s =
+        Diversity.Bleu.score ~candidate:t ~reference:t
+          (Diversity.Bleu.matched t t)
+      in
+      Float.abs (s -. 1.0) < 1e-9)
+
+(* The program with its declarations only, each initialized by a
+   literal: tokens and subtrees remain, def-use edges do not. *)
+let edgeless (p : Lang.Ast.program) =
+  let decl = function
+    | Lang.Ast.Decl { name; _ } ->
+      Some (Lang.Ast.Decl { name; init = Lang.Ast.Lit 0.5 })
+    | _ -> None
+  in
+  { p with body = List.filter_map decl p.body }
+
+let empty (p : Lang.Ast.program) = { p with body = [] }
+
+(* Independent pairs, self pairs, and pairs where either side has no
+   dataflow edges or no statements at all: the branches where a
+   component's denominator is zero. *)
+let scored_pair =
+  let prog = Arb.program.Engine.gen in
+  Engine.make
+    ~shrink:(Engine.Shrink.pair Arb.program.Engine.shrink
+               Arb.program.Engine.shrink)
+    ~print:program_pair.Engine.print
+    (Engine.Gen.frequency
+       [ (4, Engine.Gen.pair prog prog);
+         (2, Engine.Gen.map (fun p -> (p, p)) prog);
+         (1, Engine.Gen.map2 (fun a b -> (edgeless a, b)) prog prog);
+         (1, Engine.Gen.map2 (fun a b -> (a, edgeless b)) prog prog);
+         (1, Engine.Gen.map (fun p -> (edgeless p, edgeless p)) prog);
+         (1, Engine.Gen.map2 (fun a b -> (empty a, b)) prog prog) ])
+
+let codebleu_ref =
+  make_suite "codebleu-ref"
+    "merge-join CodeBLEU equals the string-keyed reference bit for bit, \
+     in both directions"
+    scored_pair
+    (fun (a, b) ->
+      let sa = Diversity.Codebleu.summarize a
+      and sb = Diversity.Codebleu.summarize b in
+      let ra = Codebleu_ref.summarize a and rb = Codebleu_ref.summarize b in
+      let bits x = Int64.bits_of_float x in
+      bits (Diversity.Codebleu.pair_score ~candidate:sa ~reference:sb)
+      = bits (Codebleu_ref.pair_score ~candidate:ra ~reference:rb)
+      && bits (Diversity.Codebleu.pair_score ~candidate:sb ~reference:sa)
+         = bits (Codebleu_ref.pair_score ~candidate:rb ~reference:ra))
 
 (* ------------------------------------------------------------------ *)
 (* Execution-engine equivalence *)
@@ -480,6 +529,7 @@ let all =
     eft_two_prod;
     bleu_range;
     bleu_self;
+    codebleu_ref;
     vm_equiv;
     fleet_merge;
   ]

@@ -26,7 +26,7 @@ val all : suite list
     [dce-preserves], [forward-preserves], [contract-idempotent],
     [pp-parse-fixpoint], [case-codec-roundtrip], [digits-total],
     [chance-one-draw], [eft-two-sum], [eft-two-prod], [bleu-range],
-    [bleu-self], [vm-equiv], [fleet-merge]. *)
+    [bleu-self], [codebleu-ref], [vm-equiv], [fleet-merge]. *)
 
 val find : string -> suite option
 

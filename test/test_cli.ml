@@ -62,6 +62,14 @@ let test_explain_empty_archive () =
   check_int "exit 2" 2 code;
   check_bool "names the empty archive" true (contains err "empty")
 
+(* --max-pairs below 1 would reach the sampler and print NaN as every
+   approach's CodeBLEU; the option parser refuses it. *)
+let test_tables_max_pairs_zero () =
+  let code, out, err = run "tables -b 2 --max-pairs 0" in
+  check_bool "nonzero exit" true (code <> 0);
+  check_bool "names the option" true (contains err "max-pairs");
+  check_bool "prints no table" false (contains out "nan")
+
 (* One fixed-seed trace shared by the replay/query/export tests. *)
 let with_campaign_trace f =
   with_tmpdir @@ fun dir ->
@@ -340,6 +348,8 @@ let () =
             test_explain_missing_archive;
           Alcotest.test_case "explain: empty archive" `Quick
             test_explain_empty_archive;
+          Alcotest.test_case "tables: --max-pairs 0 rejected" `Quick
+            test_tables_max_pairs_zero;
         ] );
       ( "watch",
         [

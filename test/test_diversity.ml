@@ -40,27 +40,59 @@ let arbitrary_program =
        QCheck.Gen.int)
 
 (* ------------------------------------------------------------------ *)
+(* Multiset *)
+
+(* Column 0 counts occurrences, column 1 weighs each by its length. *)
+let multiset ~hash keys =
+  Diversity.Multiset.build ~hash ~compare:String.compare
+    ~weights:[| (fun _ -> 1.0); (fun k -> float_of_int (String.length k)) |]
+    (Array.of_list keys)
+
+let test_multiset_hash_collisions () =
+  (* Random programs almost never collide on a hash, so force it: with a
+     constant or coarse hash only the key comparison separates keys. *)
+  List.iter
+    (fun (name, hash) ->
+      let a = multiset ~hash [ "x"; "y"; "x"; "zz"; "x" ] in
+      let b = multiset ~hash [ "x"; "zz"; "zz"; "w" ] in
+      let m = Diversity.Multiset.matched ~compare:String.compare a b in
+      (* shared: x min(3, 1) and zz min(1, 2) *)
+      check_float (name ^ ": plain") 2.0 m.(0);
+      check_float (name ^ ": weighted") 3.0 m.(1);
+      check_bool (name ^ ": symmetric") true
+        (Diversity.Multiset.matched ~compare:String.compare b a = m);
+      check_float (name ^ ": total") 5.0 (Diversity.Multiset.total a 0);
+      check_float (name ^ ": weighted total") 6.0
+        (Diversity.Multiset.total a 1))
+    [ ("constant", fun _ -> 0); ("length", String.length);
+      ("hashtbl", Hashtbl.hash) ]
+
+(* ------------------------------------------------------------------ *)
 (* Bleu *)
 
 let tokens p =
   Cparse.Lex.tokens (Lang.Pp.compute_to_string p)
   |> List.map Cparse.Lex.to_string
 
+let bleu ~candidate ~reference =
+  Diversity.Bleu.score ~candidate ~reference
+    (Diversity.Bleu.matched candidate reference)
+
 let test_bleu_identical () =
   let t = Diversity.Bleu.table (tokens p1) in
-  check_float ~eps:1e-9 "self = 1" 1.0 (Diversity.Bleu.score ~candidate:t ~reference:t)
+  check_float ~eps:1e-9 "self = 1" 1.0 (bleu ~candidate:t ~reference:t)
 
 let test_bleu_disjoint_low () =
   let a = Diversity.Bleu.table [ "a"; "b"; "c"; "d"; "e"; "f" ] in
   let b = Diversity.Bleu.table [ "u"; "v"; "w"; "x"; "y"; "z" ] in
-  check_bool "near zero" true (Diversity.Bleu.score ~candidate:a ~reference:b < 0.01)
+  check_bool "near zero" true (bleu ~candidate:a ~reference:b < 0.01)
 
 let test_bleu_brevity_penalty () =
   (* a perfectly matching prefix still scores below 1 when the candidate
      is shorter than the reference *)
   let reference = Diversity.Bleu.table [ "a"; "b"; "c"; "d"; "e"; "f" ] in
   let prefix = Diversity.Bleu.table [ "a"; "b"; "c" ] in
-  let s = Diversity.Bleu.score ~candidate:prefix ~reference in
+  let s = bleu ~candidate:prefix ~reference in
   check_bool "penalized" true (s < 0.5);
   check_bool "not zero" true (s > 0.0)
 
@@ -76,25 +108,29 @@ let qcheck_bleu_bounds =
     (fun (a, b) ->
       let ta = Diversity.Bleu.table (tokens a) in
       let tb = Diversity.Bleu.table (tokens b) in
-      let s = Diversity.Bleu.score ~candidate:ta ~reference:tb in
+      let s = bleu ~candidate:ta ~reference:tb in
       s >= 0.0 && s <= 1.0)
 
 (* ------------------------------------------------------------------ *)
 (* Ast_match *)
 
+let ast_match ~candidate ~reference =
+  Diversity.Ast_match.score ~candidate
+    (Diversity.Ast_match.matched candidate reference)
+
 let test_ast_match_self () =
   let s = Diversity.Ast_match.summarize p1 in
-  check_float ~eps:1e-9 "self" 1.0 (Diversity.Ast_match.score ~candidate:s ~reference:s)
+  check_float ~eps:1e-9 "self" 1.0 (ast_match ~candidate:s ~reference:s)
 
 let test_ast_match_rename_invariant () =
   let a = Diversity.Ast_match.summarize p1 in
   let b = Diversity.Ast_match.summarize p1_renamed in
-  check_float ~eps:1e-9 "renaming invisible" 1.0 (Diversity.Ast_match.score ~candidate:a ~reference:b)
+  check_float ~eps:1e-9 "renaming invisible" 1.0 (ast_match ~candidate:a ~reference:b)
 
 let test_ast_match_different_structures () =
   let a = Diversity.Ast_match.summarize p1 in
   let b = Diversity.Ast_match.summarize p2 in
-  check_bool "below 0.5" true (Diversity.Ast_match.score ~candidate:a ~reference:b < 0.5)
+  check_bool "below 0.5" true (ast_match ~candidate:a ~reference:b < 0.5)
 
 (* ------------------------------------------------------------------ *)
 (* Codebleu *)
@@ -135,6 +171,12 @@ let test_corpus_mean_sampled_deterministic () =
   let a = Diversity.Codebleu.corpus_mean ~max_pairs:100 ~seed:7 programs in
   let b = Diversity.Codebleu.corpus_mean ~max_pairs:100 ~seed:7 programs in
   check_float ~eps:1e-9 "same sample same mean" a b
+
+let test_corpus_mean_rejects_zero_pairs () =
+  (* max_pairs 0 would otherwise take the sampling branch: 0 / 0 *)
+  Alcotest.check_raises "max_pairs 0"
+    (Invalid_argument "Codebleu.corpus_mean: max_pairs < 1") (fun () ->
+      ignore (Diversity.Codebleu.corpus_mean ~max_pairs:0 ~seed:1 [ p1; p2 ]))
 
 let qcheck_codebleu_bounds =
   QCheck.Test.make ~name:"CodeBLEU in [0,1]" ~count:60
@@ -210,6 +252,9 @@ let test_analyze_distinct () =
 let () =
   Alcotest.run "diversity"
     [
+      ( "multiset",
+        [ Alcotest.test_case "hash collisions" `Quick
+            test_multiset_hash_collisions ] );
       ( "bleu",
         [
           Alcotest.test_case "identical" `Quick test_bleu_identical;
@@ -232,6 +277,8 @@ let () =
           Alcotest.test_case "symmetric" `Quick test_codebleu_symmetric;
           Alcotest.test_case "corpus mean" `Quick test_corpus_mean_small;
           Alcotest.test_case "sampled deterministic" `Quick test_corpus_mean_sampled_deterministic;
+          Alcotest.test_case "max_pairs below 1 rejected" `Quick
+            test_corpus_mean_rejects_zero_pairs;
           QCheck_alcotest.to_alcotest qcheck_codebleu_bounds;
           Alcotest.test_case "table 3 golden" `Slow test_table3_golden;
         ] );

@@ -117,12 +117,16 @@ let test_parallel_suite_byte_identical () =
      real seconds, so it is exactly the section this check must avoid.) *)
   let render jobs =
     let s = Harness.Experiments.run_suite ~budget:15 ~jobs ~seed:424242 () in
-    (Harness.Experiments.table2 s, Harness.Experiments.table5 s)
+    (Harness.Experiments.table2 s, Harness.Experiments.table5 s,
+     Harness.Experiments.table3 ~jobs s)
   in
-  let t2_seq, t5_seq = render 1 in
-  let t2_par, t5_par = render 4 in
+  let t2_seq, t5_seq, t3_seq = render 1 in
+  let t2_par, t5_par, t3_par = render 4 in
   Alcotest.(check string) "table2 identical at jobs=1 and jobs=4" t2_seq t2_par;
-  Alcotest.(check string) "table5 identical at jobs=1 and jobs=4" t5_seq t5_par
+  Alcotest.(check string) "table5 identical at jobs=1 and jobs=4" t5_seq t5_par;
+  (* Table 3 scores the four corpora on separate domains: any state the
+     scorer shared across summaries would show here. *)
+  Alcotest.(check string) "table3 identical at jobs=1 and jobs=4" t3_seq t3_par
 
 let test_parallel_campaign_same_outcome () =
   let run jobs =

@@ -168,7 +168,7 @@ let suite_case name =
   Alcotest.test_case name `Quick (fun () -> run_suite name)
 
 let test_all_suites_listed () =
-  check_int "seventeen suites" 17 (List.length Prop.Suites.all);
+  check_int "eighteen suites" 18 (List.length Prop.Suites.all);
   List.iter
     (fun s ->
       check_bool "documented" true (String.length s.Prop.Suites.doc > 0);
@@ -217,6 +217,7 @@ let () =
           suite_case "eft-two-prod";
           suite_case "bleu-range";
           suite_case "bleu-self";
+          suite_case "codebleu-ref";
           suite_case "vm-equiv";
           suite_case "fleet-merge";
         ] );
