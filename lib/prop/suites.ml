@@ -140,6 +140,69 @@ let pp_parse_fixpoint =
       | Error _ -> false
       | Ok p' -> Lang.Pp.to_c p' = printed)
 
+(* Programs from every generator the campaign draws from: Varity (also
+   at single precision), the three LLM prompt shapes (their text
+   admitted through parse + validate, as the campaign admits it), and
+   archived-case growth. *)
+let llm_program rng prompt =
+  let client = Llm.Client.create ~seed:(Util.Rng.int rng 1_000_000) () in
+  let rec admit tries =
+    let source = (Llm.Client.generate client prompt).Llm.Client.source in
+    match Cparse.Parse.program source with
+    | Ok p when Analysis.Validate.is_valid p -> p
+    | _ when tries > 1 -> admit (tries - 1)
+    | _ -> Gen.Varity.generate rng (* the mock rarely errs twice *)
+  in
+  admit 8
+
+let generators =
+  [| ("varity", fun rng _ -> Arb.program.Engine.gen rng);
+     ("varity-fp32",
+      fun rng _ ->
+        { (Gen.Varity.generate rng) with Lang.Ast.precision = Lang.Ast.F32 });
+     ("direct", fun rng precision ->
+        llm_program rng (Llm.Prompt.Direct { precision }));
+     ("grammar", fun rng precision ->
+        llm_program rng (Llm.Prompt.Grammar { precision }));
+     ("mutate", fun rng precision ->
+        let example = Gen.Varity.generate rng in
+        llm_program rng (Llm.Prompt.Mutate { precision; example }));
+     ("grow", fun rng _ -> Gen.Grow.grow rng (Gen.Varity.generate rng)) |]
+
+let gen_any_program rng =
+  let precision = if Util.Rng.bool rng then Lang.Ast.F64 else Lang.Ast.F32 in
+  let name, gen = Util.Rng.choose rng generators in
+  (name, gen rng precision)
+
+let any_program =
+  Engine.make
+    ~shrink:(fun (kind, p) ->
+      Seq.map (fun p' -> (kind, p')) (Arb.shrink_program p))
+    ~print:(fun (kind, p) -> Printf.sprintf "generator = %s\n%s" kind (Lang.Pp.to_c p))
+    gen_any_program
+
+(* Canonical bytes: equal exactly when the two IRs are structurally
+   identical down to every float's bit pattern (NaN payloads and the
+   sign of zero included), regardless of sharing. *)
+let ir_bytes (ir : Irsim.Ir.t) = Marshal.to_string ir [ Marshal.No_sharing ]
+
+let front_end_ir =
+  make_suite "front-end-ir"
+    "the C and CUDA renderings of any generated program parse, validate \
+     and lower to the program's own IR, at its precision"
+    any_program
+    (fun (_, p) ->
+      let direct = ir_bytes (Irsim.Lower.program p) in
+      let through render =
+        match Cparse.Parse.program (render p) with
+        | Error _ -> false
+        | Ok p' ->
+          Analysis.Validate.is_valid p'
+          && p'.Lang.Ast.precision = p.Lang.Ast.precision
+          && ir_bytes (Irsim.Lower.program p') = direct
+      in
+      through Lang.Pp.to_c && through Lang.Pp.to_cuda)
+
 let gen_archive_case rng =
   let p, inputs = Gen.Varity.gen_case rng in
   let r = strict_result p inputs in
@@ -522,6 +585,7 @@ let all =
     forward_preserves;
     contract_idempotent;
     pp_parse_fixpoint;
+    front_end_ir;
     case_codec_roundtrip;
     digits_total;
     chance_one_draw;

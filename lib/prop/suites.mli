@@ -24,7 +24,7 @@ val all : suite list
 (** Every suite, in display order. Names:
     [gen-valid], [gen-inputs-match], [interp-total], [fold-preserves],
     [dce-preserves], [forward-preserves], [contract-idempotent],
-    [pp-parse-fixpoint], [case-codec-roundtrip], [digits-total],
+    [pp-parse-fixpoint], [front-end-ir], [case-codec-roundtrip], [digits-total],
     [chance-one-draw], [eft-two-sum], [eft-two-prod], [bleu-range],
     [bleu-self], [codebleu-ref], [vm-equiv], [fleet-merge]. *)
 

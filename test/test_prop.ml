@@ -168,7 +168,7 @@ let suite_case name =
   Alcotest.test_case name `Quick (fun () -> run_suite name)
 
 let test_all_suites_listed () =
-  check_int "eighteen suites" 18 (List.length Prop.Suites.all);
+  check_int "nineteen suites" 19 (List.length Prop.Suites.all);
   List.iter
     (fun s ->
       check_bool "documented" true (String.length s.Prop.Suites.doc > 0);
@@ -210,6 +210,7 @@ let () =
           suite_case "interp-total";
           suite_case "fold-preserves";
           suite_case "pp-parse-fixpoint";
+          suite_case "front-end-ir";
           suite_case "case-codec-roundtrip";
           suite_case "digits-total";
           suite_case "chance-one-draw";
