@@ -1,6 +1,6 @@
 type binary = {
   config : Config.t;
-  source : string;
+  program : Lang.Ast.program;
   ir : Irsim.Ir.t;
   vm : Irsim.Vm.program;
   work : int;
@@ -68,24 +68,22 @@ let pipeline (config : Config.t) ir =
   if config.dce then Irsim.Dce.run ir else ir
 
 (* ------------------------------------------------------------------ *)
-(* Front end: emit + parse + validate + lower. Only the target decides
-   the translation unit (gcc and clang share the host C unit; nvcc gets
-   the CUDA one), so the whole 18-configuration matrix needs exactly two
-   front-end passes. *)
+(* Front end: validate + lower, once per program. The host C and device
+   CUDA translation units are two renderings of one AST and lower to the
+   same IR (the [front-end-ir] property suite pins this), so the whole
+   configuration matrix shares a single front-end pass. *)
 
 type target = [ `Host | `Device ]
 
 type front = {
-  f_source : string;       (* the emitted translation unit *)
-  f_ir : Irsim.Ir.t;       (* lowered, before the pass pipeline *)
-  f_precision : Lang.Ast.precision;  (* of the re-parsed unit *)
+  f_program : Lang.Ast.program;
+  f_ir : Irsim.Ir.t;  (* lowered, before the pass pipeline *)
 }
 
 type fronts = {
   program : Lang.Ast.program;
   lock : Mutex.t;
-  mutable host : (front, string) result option;
-  mutable device : (front, string) result option;
+  mutable front : (front, string) result option;
 }
 
 let target_of (config : Config.t) : target =
@@ -93,59 +91,36 @@ let target_of (config : Config.t) : target =
 
 (* Error strings carry no configuration name; [compile_with] prefixes
    the config so per-configuration failure messages keep their historic
-   shape ("<config>: front end: …" / "<config>: …" / "<config>:
-   lowering: …"). *)
-let run_front_end (target : target) program =
+   shape ("<config>: …" / "<config>: lowering: …"). *)
+let run_front_end program =
   Obs.Span.with_span "compiler.front_end" @@ fun () ->
   inject_with_retry Exec.Faults.Front_end;
   Obs.Metrics.incr m_front_runs;
-  (* Emit the translation unit for the target, then run the front end on
-     that text: the device path really goes through the C-to-CUDA
-     translation. *)
-  let source =
-    match target with
-    | `Host -> Lang.Pp.to_c program
-    | `Device -> Lang.Pp.to_cuda program
-  in
-  match Cparse.Parse.program source with
-  | Error msg -> Error (Printf.sprintf "front end: %s" msg)
-  | Ok parsed -> begin
-    match Analysis.Validate.check parsed with
-    | Error issues ->
-      Error
-        (String.concat "; "
-           (List.map Analysis.Validate.issue_to_string issues))
-    | Ok () -> begin
-      match Irsim.Lower.program parsed with
-      | exception Irsim.Lower.Error msg ->
-        Error (Printf.sprintf "lowering: %s" msg)
-      | ir ->
-        Ok
-          { f_source = source; f_ir = ir;
-            f_precision = parsed.Lang.Ast.precision }
-    end
+  match Analysis.Validate.check program with
+  | Error issues ->
+    Error
+      (String.concat "; " (List.map Analysis.Validate.issue_to_string issues))
+  | Ok () -> begin
+    match Irsim.Lower.program program with
+    | exception Irsim.Lower.Error msg ->
+      Error (Printf.sprintf "lowering: %s" msg)
+    | ir -> Ok { f_program = program; f_ir = ir }
   end
 
-let fronts program =
-  { program; lock = Mutex.create (); host = None; device = None }
+let fronts program = { program; lock = Mutex.create (); front = None }
 
-let front_end fronts (target : target) =
+let front_end fronts (_ : target) =
   Mutex.lock fronts.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock fronts.lock)
     (fun () ->
-      let cached =
-        match target with `Host -> fronts.host | `Device -> fronts.device
-      in
-      match cached with
+      match fronts.front with
       | Some r ->
         Obs.Metrics.incr m_front_hits;
         r
       | None ->
-        let r = run_front_end target fronts.program in
-        (match target with
-        | `Host -> fronts.host <- Some r
-        | `Device -> fronts.device <- Some r);
+        let r = run_front_end fronts.program in
+        fronts.front <- Some r;
         r)
 
 (* ------------------------------------------------------------------ *)
@@ -155,14 +130,19 @@ let front_end fronts (target : target) =
 (* Every binary carries its flattened program: the flatten pass runs
    exactly once per back-end output, so run-many execution never
    re-walks the tree. *)
-let of_ir ~(config : Config.t) ~source ~work ir =
-  { config; source; ir; vm = Irsim.Vm.flatten (Config.runtime config) ir; work }
+let of_ir ~(config : Config.t) ~program ~work ir =
+  { config; program; ir; vm = Irsim.Vm.flatten (Config.runtime config) ir; work }
+
+let source binary =
+  match target_of binary.config with
+  | `Host -> Lang.Pp.to_c binary.program
+  | `Device -> Lang.Pp.to_cuda binary.program
 
 let back_end (config : Config.t) (front : front) =
   inject_with_retry Exec.Faults.Back_end;
-  let applied = Config.effective config front.f_precision in
+  let applied = Config.effective config front.f_program.Lang.Ast.precision in
   let ir = pipeline applied front.f_ir in
-  of_ir ~config:applied ~source:front.f_source ~work:(body_size ir.body) ir
+  of_ir ~config:applied ~program:front.f_program ~work:(body_size ir.body) ir
 
 let compile_with fronts (config : Config.t) =
   Obs.Span.with_span "compiler.compile" @@ fun () ->

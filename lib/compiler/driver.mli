@@ -1,24 +1,26 @@
 (** The compilation driver (paper §2.4).
 
     Prepares a generated program for execution on host and device: the
-    host path emits C and compiles it; the device path first translates C
-    to CUDA ([compute] becomes a single-thread [__global__] kernel) and
-    compiles that. "Compiling" means: emit the translation unit, re-parse
-    it (the simulated front end — translation errors surface here, as
-    real nvcc failures do), validate, lower to IR, and run the
-    configuration's pass pipeline (constant folding → fast-math rewrites
-    → FMA contraction → dead-store elimination). The result is a binary:
-    optimized IR plus the runtime configuration.
+    host path compiles the C translation unit; the device path first
+    translates C to CUDA ([compute] becomes a single-thread
+    [__global__] kernel) and compiles that. "Compiling" means: validate
+    the program, lower it to IR, and run the configuration's pass
+    pipeline (constant folding → fast-math rewrites → FMA contraction →
+    dead-store elimination). The result is a binary: optimized IR plus
+    the runtime configuration.
 
-    The front end is split from the back end: only the {e target}
-    (host/device) decides the translation unit — gcc and clang compile
-    the same host C — so one program needs exactly {e two} front-end
-    passes, not one per configuration. {!fronts} carries the memoized
-    per-target front ends (domain-safe; shareable across an
+    The front end is split from the back end. The C and CUDA
+    translation units are two renderings of one AST, and both parse
+    back and lower to exactly the IR of the AST itself (the
+    [front-end-ir] property suite checks this over every generator), so
+    one program needs exactly {e one} front-end pass for all eighteen
+    configurations. The translation unit is printed only when something
+    reads it ({!source}). nvcc translation failures are not modelled:
+    a program that validates compiles for both targets. {!fronts}
+    carries the memoized front end (domain-safe; shareable across an
     {!Exec.Pool} fan-out) and {!compile_with} runs only the per-config
-    back end against them. The cache's effectiveness is observable as
-    the [compiler.frontend.runs] / [compiler.frontend.cache_hits]
-    metrics.
+    back end against it. The cache's effectiveness is observable as the
+    [compiler.frontend.runs] / [compiler.frontend.cache_hits] metrics.
 
     Fault tolerance: every stage entry point (front end, back end,
     execution) is an {!Exec.Faults} injection site with a bounded-retry
@@ -30,7 +32,7 @@
 
 type binary = {
   config : Config.t;
-  source : string;  (** the exact translation unit that was "compiled" *)
+  program : Lang.Ast.program;  (** the program the binary was compiled from *)
   ir : Irsim.Ir.t;  (** after the pass pipeline *)
   vm : Irsim.Vm.program;
       (** the flattened program, built once per back-end output; carries
@@ -50,21 +52,27 @@ val engine_name : engine -> string
 val engine : unit -> engine
 
 val of_ir :
-  config:Config.t -> source:string -> work:int -> Irsim.Ir.t -> binary
+  config:Config.t -> program:Lang.Ast.program -> work:int -> Irsim.Ir.t ->
+  binary
 (** Package optimized IR as a binary, flattening it for the VM under
     [config]'s runtime. The one constructor every binary goes through —
     keeps hand-built binaries (isolation probes) executable on the VM. *)
 
+val source : binary -> string
+(** The translation unit the binary stands for: the C rendering of its
+    program for a host configuration, the CUDA rendering for nvcc.
+    Printed on each call. *)
+
 type target = [ `Host | `Device ]
 
 type front
-(** A completed front-end pass: the emitted translation unit and its
-    lowered (pre-pipeline) IR. Immutable and shareable. *)
+(** A completed front-end pass: the validated program and its lowered
+    (pre-pipeline) IR. Immutable and shareable. *)
 
 type fronts
-(** Per-program front-end cache, at most one entry per target. Lazy and
-    mutex-guarded: concurrent {!compile_with} calls from pool workers
-    compute each target once and share the result. *)
+(** Per-program front-end cache holding one entry, shared by both
+    targets. Lazy and mutex-guarded: concurrent {!compile_with} calls
+    from pool workers compute it once and share the result. *)
 
 val fronts : Lang.Ast.program -> fronts
 (** An empty cache for [program]; no front-end work happens yet. *)
@@ -72,9 +80,10 @@ val fronts : Lang.Ast.program -> fronts
 val target_of : Config.t -> target
 
 val front_end : fronts -> target -> (front, string) result
-(** The memoized front end: emit + parse + validate + lower, computed on
-    first use per target and cached (errors are cached too). The error
-    string carries no configuration name. *)
+(** The memoized front end: validate + lower, computed on first use and
+    cached (errors are cached too). Both targets get the same entry, so
+    every call after the first is a cache hit. The error string carries
+    no configuration name. *)
 
 val back_end : Config.t -> front -> binary
 (** The per-configuration pass pipeline over the shared front-end IR
@@ -116,7 +125,7 @@ val matrix :
   ((Config.t * binary, Config.t * string) Either.t) list
 (** Compile under every configuration (default: the full 18-entry
     matrix), keeping per-configuration successes and failures in
-    configuration order. The front end runs at most twice regardless of
+    configuration order. The front end runs at most once regardless of
     configuration count, and [jobs > 1] fans the per-configuration back
     ends across the {!Exec.Pool} — results are identical at any job
     count. *)

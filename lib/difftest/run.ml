@@ -54,8 +54,8 @@ let test ?configs ?(jobs = 1) program inputs =
   let configs =
     match configs with Some cs -> cs | None -> Compiler.Config.all ()
   in
-  (* One shared front-end cache for the whole configuration matrix: two
-     front-end passes (host C, device CUDA) instead of one per config.
+  (* One shared front-end cache for the whole configuration matrix: one
+     front-end pass serves every configuration.
      The per-config back end + execution fan out across the domain pool;
      Pool.map keeps configuration order, so outputs and failures are
      identical at any job count. *)

@@ -56,11 +56,10 @@ val test :
     modified matrices — campaigns build the list once and thread it
     through every slot.
 
-    The front end (emit + parse + validate + lower) runs once per
-    {e target} via {!Compiler.Driver.fronts} — two passes per program
-    instead of one per configuration — and [jobs > 1] fans the
-    per-configuration back ends and the deduplicated executions across
-    the {!Exec.Pool}.
+    The front end (validate + lower) runs once per program via
+    {!Compiler.Driver.fronts}, shared by all configurations, and
+    [jobs > 1] fans the per-configuration back ends and the
+    deduplicated executions across the {!Exec.Pool}.
 
     Executions are deduplicated: configurations whose back ends produced
     the same (post-pipeline IR, runtime) pair share one execution of

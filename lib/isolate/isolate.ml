@@ -59,8 +59,7 @@ let hybrid_compile (config : Compiler.Config.t) (program : Lang.Ast.program)
         in
         let ir = { optimized with Irsim.Ir.body } in
         Ok
-          (Compiler.Driver.of_ir ~config:no_dce ~source:(Lang.Pp.to_c program)
-             ~work:0 ir)
+          (Compiler.Driver.of_ir ~config:no_dce ~program ~work:0 ir)
       end
   end
 
