@@ -168,7 +168,7 @@ let suite_case name =
   Alcotest.test_case name `Quick (fun () -> run_suite name)
 
 let test_all_suites_listed () =
-  check_int "nineteen suites" 19 (List.length Prop.Suites.all);
+  check_int "twenty suites" 20 (List.length Prop.Suites.all);
   List.iter
     (fun s ->
       check_bool "documented" true (String.length s.Prop.Suites.doc > 0);
@@ -219,6 +219,7 @@ let () =
           suite_case "bleu-range";
           suite_case "bleu-self";
           suite_case "codebleu-ref";
+          suite_case "libm-ref";
           suite_case "vm-equiv";
           suite_case "fleet-merge";
         ] );
