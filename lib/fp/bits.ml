@@ -54,11 +54,11 @@ let ulp x =
    stepping by 1 walks through adjacent representable values. Negative
    values (sign bit set, i.e. negative as a signed int64) map magnitude
    [mag] to [-(mag)-1], so -0.0 sits at -1, just below +0.0 at 0. *)
-let monotone_of_bits b =
+let[@inline] monotone_of_bits b =
   if Int64.compare b 0L < 0 then Int64.lognot (Int64.logand b Int64.max_int)
   else b
 
-let bits_of_monotone m =
+let[@inline] bits_of_monotone m =
   if Int64.compare m 0L < 0 then Int64.logor Int64.min_int (Int64.lognot m)
   else m
 
@@ -69,11 +69,11 @@ let nudge_ulps x n =
     let m = monotone_of_bits (bits_of_double x) in
     double_of_bits (bits_of_monotone (Int64.add m (Int64.of_int n)))
 
-let monotone32_of_bits b =
+let[@inline] monotone32_of_bits b =
   if Int32.compare b 0l < 0 then Int32.lognot (Int32.logand b Int32.max_int)
   else b
 
-let bits32_of_monotone m =
+let[@inline] bits32_of_monotone m =
   if Int32.compare m 0l < 0 then Int32.logor Int32.min_int (Int32.lognot m)
   else m
 

@@ -18,7 +18,6 @@ type instr =
   | Fdiv of int * int * int
   | Call1 of Ast.math_fn * int * int
   | Call2 of Ast.math_fn * int * int * int
-  | Calln of Ast.math_fn * int * int array (* dst, arg regs *)
   | Fma of int * int * int * int
   | Recip of int * int
   (* int registers *)
@@ -82,10 +81,6 @@ let instr_name p ins =
   | Call2 (fn, d, a, b) ->
     Printf.sprintf "call2 %s %s <- %s %s" (Ast.math_fn_name fn) (fr d) (fr a)
       (fr b)
-  | Calln (fn, d, regs) ->
-    Printf.sprintf "call%d %s %s <- %s" (Array.length regs)
-      (Ast.math_fn_name fn) (fr d)
-      (String.concat " " (Array.to_list (Array.map fr regs)))
   | Fma (d, a, b, c) ->
     Printf.sprintf "fma %s <- %s %s %s" (fr d) (fr a) (fr b) (fr c)
   | Recip (d, s) -> Printf.sprintf "recip %s <- %s" (fr d) (fr s)
@@ -197,7 +192,11 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
       | Ir.Bin (_, a, b) ->
         fscan a;
         fscan b
-      | Ir.Call (_, args) -> List.iter fscan args
+      | Ir.Call (fn, args) ->
+        let n = List.length args in
+        if n <> Ast.math_fn_arity fn then
+          bad "call to %s with %d arguments" (Ast.math_fn_name fn) n;
+        List.iter fscan args
       | Ir.Fma (a, b, c) ->
         fscan a;
         fscan b;
@@ -366,17 +365,7 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
         let d = dest fd in
         emit (Call2 (fn, d, ra, rb));
         d
-      | Ir.Call (fn, args) ->
-        let regs, _ =
-          List.fold_left
-            (fun (acc, fd) a ->
-              let r = fcompile a fd id in
-              (r :: acc, if r >= ftemp then fd + 1 else fd))
-            ([], fd) args
-        in
-        let d = dest fd in
-        emit (Calln (fn, d, Array.of_list (List.rev regs)));
-        d
+      | Ir.Call (_, _) -> assert false (* arity checked in pass 1 *)
       | Ir.Fma (a, b, c) ->
         let ra = fcompile a fd id in
         let fda = if ra >= ftemp then fd + 1 else fd in
@@ -438,6 +427,12 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
     libm = rt.Interp.libm;
   }
 
+(* Flush-to-zero and storage rounding. Closed and inlined into the
+   loop, so the values they pass through stay unboxed unless the
+   runtime really flushes or rounds. *)
+let[@inline] flush ftz x = if ftz then Fp.Bits.flush_subnormal x else x
+let[@inline] prec f32 x = if f32 then Interp.round_f32 x else x
+
 (* The inner loop. Every register index in [code] was placed by
    [flatten] inside the file it sized, so register and code accesses
    are unsafe; only data-dependent array subscripts keep a check, which
@@ -450,10 +445,8 @@ let exec p f ints arrs =
   let code = p.code in
   let stop = Array.length code in
   let ftz = p.ftz and f32 = p.f32 in
-  let precision = p.precision and flavor = p.libm in
+  let precision = Some p.precision and flavor = p.libm in
   let nan_taken = p.nan_cmp_taken in
-  let flush x = if ftz then Fp.Bits.flush_subnormal x else x in
-  let prec x = if f32 then Interp.round_f32 x else x in
   let ops = ref 0 in
   let pc = ref 0 in
   while !pc < stop do
@@ -467,58 +460,49 @@ let exec p f ints arrs =
       Interp.check_bounds ~array:id ~index:k ~length:(Array.length arr);
       Array.unsafe_set f d (Array.unsafe_get arr k)
     | Itof (d, s) ->
-      Array.unsafe_set f d (prec (float_of_int (Array.unsafe_get ints s)))
+      Array.unsafe_set f d (prec f32 (float_of_int (Array.unsafe_get ints s)))
     | Fneg (d, s) -> Array.unsafe_set f d (-.Array.unsafe_get f s)
     | Fadd (d, a, b) ->
-      let x = flush (Array.unsafe_get f a) in
-      let y = flush (Array.unsafe_get f b) in
+      let x = flush ftz (Array.unsafe_get f a) in
+      let y = flush ftz (Array.unsafe_get f b) in
       incr ops;
-      Array.unsafe_set f d (flush (prec (x +. y)))
+      Array.unsafe_set f d (flush ftz (prec f32 (x +. y)))
     | Fsub (d, a, b) ->
-      let x = flush (Array.unsafe_get f a) in
-      let y = flush (Array.unsafe_get f b) in
+      let x = flush ftz (Array.unsafe_get f a) in
+      let y = flush ftz (Array.unsafe_get f b) in
       incr ops;
-      Array.unsafe_set f d (flush (prec (x -. y)))
+      Array.unsafe_set f d (flush ftz (prec f32 (x -. y)))
     | Fmul (d, a, b) ->
-      let x = flush (Array.unsafe_get f a) in
-      let y = flush (Array.unsafe_get f b) in
+      let x = flush ftz (Array.unsafe_get f a) in
+      let y = flush ftz (Array.unsafe_get f b) in
       incr ops;
-      Array.unsafe_set f d (flush (prec (x *. y)))
+      Array.unsafe_set f d (flush ftz (prec f32 (x *. y)))
     | Fdiv (d, a, b) ->
-      let x = flush (Array.unsafe_get f a) in
-      let y = flush (Array.unsafe_get f b) in
+      let x = flush ftz (Array.unsafe_get f a) in
+      let y = flush ftz (Array.unsafe_get f b) in
       incr ops;
-      Array.unsafe_set f d (flush (prec (x /. y)))
+      Array.unsafe_set f d (flush ftz (prec f32 (x /. y)))
     | Call1 (fn, d, a) ->
-      let x = flush (Array.unsafe_get f a) in
+      let x = flush ftz (Array.unsafe_get f a) in
       incr ops;
       Array.unsafe_set f d
-        (flush (prec (Mathlib.Libm.call1 ~precision flavor fn x)))
+        (flush ftz (prec f32 (Mathlib.Libm.call1 ?precision flavor fn x)))
     | Call2 (fn, d, a, b) ->
-      let x = flush (Array.unsafe_get f a) in
-      let y = flush (Array.unsafe_get f b) in
+      let x = flush ftz (Array.unsafe_get f a) in
+      let y = flush ftz (Array.unsafe_get f b) in
       incr ops;
       Array.unsafe_set f d
-        (flush (prec (Mathlib.Libm.call2 ~precision flavor fn x y)))
-    | Calln (fn, d, regs) ->
-      let args =
-        Array.fold_right
-          (fun r acc -> flush (Array.unsafe_get f r) :: acc)
-          regs []
-      in
-      incr ops;
-      Array.unsafe_set f d
-        (flush (prec (Mathlib.Libm.call ~precision flavor fn args)))
+        (flush ftz (prec f32 (Mathlib.Libm.call2 ?precision flavor fn x y)))
     | Fma (d, a, b, c) ->
-      let x = flush (Array.unsafe_get f a) in
-      let y = flush (Array.unsafe_get f b) in
-      let z = flush (Array.unsafe_get f c) in
+      let x = flush ftz (Array.unsafe_get f a) in
+      let y = flush ftz (Array.unsafe_get f b) in
+      let z = flush ftz (Array.unsafe_get f c) in
       incr ops;
-      Array.unsafe_set f d (flush (prec (Fp.Fma.contract x y z)))
+      Array.unsafe_set f d (flush ftz (prec f32 (Fp.Fma.contract x y z)))
     | Recip (d, s) ->
-      let v = flush (Array.unsafe_get f s) in
+      let v = flush ftz (Array.unsafe_get f s) in
       incr ops;
-      Array.unsafe_set f d (flush (prec (1.0 /. v)))
+      Array.unsafe_set f d (flush ftz (prec f32 (1.0 /. v)))
     | Iconst (d, v) -> Array.unsafe_set ints d v
     | Ineg (d, s) -> Array.unsafe_set ints d (-Array.unsafe_get ints s)
     | Iadd (d, a, b) ->

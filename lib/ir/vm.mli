@@ -31,7 +31,8 @@ val flatten : Interp.runtime -> Ir.t -> program
 (** Compile the IR under the given runtime. Validates every slot index
     and binding once and sizes the register file; raises
     [Invalid_argument] on malformed IR (a slot out of declared range, a
-    binding whose declared array length disagrees with [arr_lens]). *)
+    binding whose declared array length disagrees with [arr_lens], a
+    call whose argument count is not its function's arity). *)
 
 val code_size : program -> int
 (** Number of flat instructions (for tests and diagnostics). *)

@@ -41,64 +41,75 @@ let is_hard = function
     true
   | _ -> false
 
+(* The float intrinsics (__sinf and friends) are a few float-ulps off;
+   on the F32 grid the divergence profile is correspondingly coarser. *)
+let cuda_fast32_profile = Perturb.profile ~salt:0x5F5F66L ~prob:0.6 ~max_ulps:3
+
+(* The perturbation profile of every flavor but the glibc baseline; for
+   [Cuda_fast] it covers the functions without a {!Poly} kernel. *)
+let profile flavor fn =
+  match flavor with
+  | Glibc -> invalid_arg "Libm.profile: glibc is the baseline"
+  | Mpfr_fold -> mpfr_profile
+  | Llvm_fold -> llvm_fold_profile
+  | Cuda -> if is_hard fn then cuda_hard_profile else cuda_profile
+  | Gcc_fast -> gcc_fast_profile
+  | Clang_fast -> clang_fast_profile
+  | Cuda_fast -> cuda_fast_other_profile
+
+(* Static options: passing one to [?grid] allocates nothing. *)
+let f64_grid = Some Perturb.F64
+let f32_grid = Some Perturb.F32
+let grid = function Ast.F64 -> f64_grid | Ast.F32 -> f32_grid
+
+(* A device fast-math kernel's value: exact to the kernel at double
+   precision; the __foof intrinsics carry their own float-ulp error. *)
+let intrinsic1 precision fn x v =
+  match precision with
+  | Ast.F64 -> v
+  | Ast.F32 -> Perturb.apply1 ?grid:f32_grid cuda_fast32_profile fn x v
+
+let call1 ?(precision = Ast.F64) flavor fn x =
+  match (flavor, fn) with
+  | Glibc, _ -> Reference.eval1 fn x
+  | Cuda_fast, Ast.Sin -> intrinsic1 precision fn x (Poly.sin_fast x)
+  | Cuda_fast, Ast.Cos -> intrinsic1 precision fn x (Poly.cos_fast x)
+  | Cuda_fast, Ast.Tan -> intrinsic1 precision fn x (Poly.tan_fast x)
+  | Cuda_fast, Ast.Exp -> intrinsic1 precision fn x (Poly.exp_fast x)
+  | Cuda_fast, Ast.Exp2 -> intrinsic1 precision fn x (Poly.exp2_fast x)
+  | Cuda_fast, Ast.Log -> intrinsic1 precision fn x (Poly.log_fast x)
+  | Cuda_fast, Ast.Log2 -> intrinsic1 precision fn x (Poly.log2_fast x)
+  | Cuda_fast, Ast.Log10 -> intrinsic1 precision fn x (Poly.log10_fast x)
+  | _ ->
+    Perturb.apply1 ?grid:(grid precision) (profile flavor fn) fn x
+      (Reference.eval1 fn x)
+
 (* Fast-math min/max lowering. C's fmin/fmax treat NaN as "missing", but
    under fast math compilers are free to emit a bare compare-and-select.
    gcc selects `a < b ? a : b`, clang the symmetric `b < a ? b : a`, so a
    NaN operand comes out differently per compiler; nvcc's device fast
    path keeps the IEEE number-favoring semantics. *)
-let fast_minmax flavor fn args =
-  match (flavor, fn, args) with
-  | Gcc_fast, Ast.Fmin, [ a; b ] -> Some (if a < b then a else b)
-  | Gcc_fast, Ast.Fmax, [ a; b ] -> Some (if a > b then a else b)
-  | Clang_fast, Ast.Fmin, [ a; b ] -> Some (if b < a then b else a)
-  | Clang_fast, Ast.Fmax, [ a; b ] -> Some (if b > a then b else a)
-  | _ -> None
+let call2 ?(precision = Ast.F64) flavor fn x y =
+  match (flavor, fn) with
+  | Gcc_fast, Ast.Fmin -> if x < y then x else y
+  | Gcc_fast, Ast.Fmax -> if x > y then x else y
+  | Clang_fast, Ast.Fmin -> if y < x then y else x
+  | Clang_fast, Ast.Fmax -> if y > x then y else x
+  | Glibc, _ -> Reference.eval2 fn x y
+  | Cuda_fast, Ast.Pow -> (
+    let v = Poly.pow_fast x y in
+    match precision with
+    | Ast.F64 -> v
+    | Ast.F32 -> Perturb.apply2 ?grid:f32_grid cuda_fast32_profile fn x y v)
+  | _ ->
+    Perturb.apply2 ?grid:(grid precision) (profile flavor fn) fn x y
+      (Reference.eval2 fn x y)
 
-(* The float intrinsics (__sinf and friends) are a few float-ulps off;
-   on the F32 grid the divergence profile is correspondingly coarser. *)
-let cuda_fast32_profile = Perturb.profile ~salt:0x5F5F66L ~prob:0.6 ~max_ulps:3
-
-let call ?(precision = Ast.F64) flavor fn args =
-  let grid =
-    match precision with Ast.F64 -> Perturb.F64 | Ast.F32 -> Perturb.F32
-  in
-  match fast_minmax flavor fn args with
-  | Some v -> v
-  | None ->
-  let base = Reference.eval fn args in
-  match flavor with
-  | Glibc -> base
-  | Mpfr_fold -> Perturb.apply ~grid mpfr_profile fn args base
-  | Llvm_fold -> Perturb.apply ~grid llvm_fold_profile fn args base
-  | Cuda ->
-    let p = if is_hard fn then cuda_hard_profile else cuda_profile in
-    Perturb.apply ~grid p fn args base
-  | Gcc_fast -> Perturb.apply ~grid gcc_fast_profile fn args base
-  | Clang_fast -> Perturb.apply ~grid clang_fast_profile fn args base
-  | Cuda_fast -> begin
-    let polynomial =
-      match (fn, args) with
-      | Ast.Sin, [ x ] -> Some (Poly.sin_fast x)
-      | Ast.Cos, [ x ] -> Some (Poly.cos_fast x)
-      | Ast.Tan, [ x ] -> Some (Poly.tan_fast x)
-      | Ast.Exp, [ x ] -> Some (Poly.exp_fast x)
-      | Ast.Exp2, [ x ] -> Some (Poly.exp2_fast x)
-      | Ast.Log, [ x ] -> Some (Poly.log_fast x)
-      | Ast.Log2, [ x ] -> Some (Poly.log2_fast x)
-      | Ast.Log10, [ x ] -> Some (Poly.log10_fast x)
-      | Ast.Pow, [ x; y ] -> Some (Poly.pow_fast x y)
-      | _ -> None
-    in
-    match (polynomial, precision) with
-    | Some v, Ast.F64 -> v
-    | Some v, Ast.F32 ->
-      (* the __foof intrinsics carry their own float-ulp error *)
-      Perturb.apply ~grid cuda_fast32_profile fn args v
-    | None, _ -> Perturb.apply ~grid cuda_fast_other_profile fn args base
-  end
-
-let call1 ?precision flavor fn x = call ?precision flavor fn [ x ]
-let call2 ?precision flavor fn x y = call ?precision flavor fn [ x; y ]
+let call ?precision flavor fn args =
+  match args with
+  | [ x ] -> call1 ?precision flavor fn x
+  | [ x; y ] -> call2 ?precision flavor fn x y
+  | _ -> invalid_arg "Libm.call: arity mismatch"
 
 let profiles_doc =
   "glibc: baseline (identity). mpfr-fold: p=0.04, <=1 ulp. llvm-fold: \

@@ -21,10 +21,16 @@ val profile : salt:int64 -> prob:float -> max_ulps:int -> profile
 
 type grid = F64 | F32
 
-val apply :
-  ?grid:grid -> profile -> Lang.Ast.math_fn -> float list -> float -> float
-(** [apply p fn args base] nudges [base] according to the profile, on the
-    binary64 grid by default or the binary32 grid for single-precision
-    library calls. Exactly rounded functions
-    ({!Reference.is_exactly_rounded}), non-finite bases, and zero bases
-    are returned unchanged. *)
+val apply1 :
+  ?grid:grid -> profile -> Lang.Ast.math_fn -> float -> float -> float
+(** [apply1 p fn x base] nudges [base], the baseline value of [fn x],
+    according to the profile, on the binary64 grid by default or the
+    binary32 grid for single-precision library calls. Exactly rounded
+    functions ({!Reference.is_exactly_rounded}), non-finite bases, and
+    zero bases are returned unchanged. Allocates nothing beyond the
+    nudged result. *)
+
+val apply2 :
+  ?grid:grid -> profile -> Lang.Ast.math_fn -> float -> float -> float ->
+  float
+(** [apply2 p fn x y base]: {!apply1} for a two-argument function. *)

@@ -305,6 +305,21 @@ let test_vm_flatten_rejects_bad_ir () =
   check_bool "binding length mismatch" true
     (try ignore (Irsim.Vm.flatten strict_rt bad_binding); false
      with Invalid_argument _ -> true)
+  ;
+  List.iter
+    (fun (fn, args) ->
+      let call =
+        { bad with
+          Irsim.Ir.body =
+            [ Irsim.Ir.Store (0, Irsim.Ir.Call (fn, List.map (fun v -> Irsim.Ir.Const v) args)) ] }
+      in
+      check_bool
+        (Printf.sprintf "%s with %d arguments" (Ast.math_fn_name fn) (List.length args))
+        true
+        (try ignore (Irsim.Vm.flatten strict_rt call); false
+         with Invalid_argument msg -> Util.Text.contains_sub msg "Vm.flatten"))
+    [ (Ast.Sin, []); (Ast.Sin, [ 1.0; 2.0 ]); (Ast.Pow, [ 1.0 ]);
+      (Ast.Fmax, [ 1.0; 2.0; 3.0 ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Fold *)

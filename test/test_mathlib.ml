@@ -38,8 +38,8 @@ let test_exactly_rounded_set () =
 let profile = Mathlib.Perturb.profile ~salt:0xABCDL ~prob:0.5 ~max_ulps:2
 
 let test_perturb_deterministic () =
-  let a = Mathlib.Perturb.apply profile Ast.Sin [ 1.7 ] (sin 1.7) in
-  let b = Mathlib.Perturb.apply profile Ast.Sin [ 1.7 ] (sin 1.7) in
+  let a = Mathlib.Perturb.apply1 profile Ast.Sin 1.7 (sin 1.7) in
+  let b = Mathlib.Perturb.apply1 profile Ast.Sin 1.7 (sin 1.7) in
   check_bool "same args same nudge" true (a = b)
 
 let test_perturb_bounded () =
@@ -47,7 +47,7 @@ let test_perturb_bounded () =
   for _ = 1 to 2000 do
     let x = Util.Rng.float_in rng (-20.0) 20.0 in
     let base = sin x in
-    let nudged = Mathlib.Perturb.apply profile Ast.Sin [ x ] base in
+    let nudged = Mathlib.Perturb.apply1 profile Ast.Sin x base in
     check_bool "within max_ulps" true (Fp.Bits.ulp_distance base nudged <= 2L)
   done
 
@@ -58,18 +58,18 @@ let test_perturb_rate () =
   for _ = 1 to n do
     let x = Util.Rng.float_in rng (-20.0) 20.0 in
     let base = cos x in
-    if Mathlib.Perturb.apply profile Ast.Cos [ x ] base <> base then incr hits
+    if Mathlib.Perturb.apply1 profile Ast.Cos x base <> base then incr hits
   done;
   let rate = float_of_int !hits /. float_of_int n in
   check_bool "rate near configured 0.5" true (Float.abs (rate -. 0.5) < 0.05)
 
 let test_perturb_skips_exact_and_special () =
   check_bool "sqrt untouched" true
-    (Mathlib.Perturb.apply profile Ast.Sqrt [ 2.0 ] (sqrt 2.0) = sqrt 2.0);
+    (Mathlib.Perturb.apply1 profile Ast.Sqrt 2.0 (sqrt 2.0) = sqrt 2.0);
   check_bool "nan untouched" true
-    (Float.is_nan (Mathlib.Perturb.apply profile Ast.Sin [ Float.nan ] Float.nan));
+    (Float.is_nan (Mathlib.Perturb.apply1 profile Ast.Sin Float.nan Float.nan));
   check_bool "zero untouched" true
-    (Mathlib.Perturb.apply profile Ast.Sin [ 0.0 ] 0.0 = 0.0)
+    (Mathlib.Perturb.apply1 profile Ast.Sin 0.0 0.0 = 0.0)
 
 let test_salts_decorrelated () =
   let p1 = Mathlib.Perturb.profile ~salt:1L ~prob:0.5 ~max_ulps:1 in
@@ -79,8 +79,8 @@ let test_salts_decorrelated () =
   for _ = 1 to n do
     let x = Util.Rng.float_in rng (-20.0) 20.0 in
     let base = sin x in
-    let a = Mathlib.Perturb.apply p1 Ast.Sin [ x ] base <> base in
-    let b = Mathlib.Perturb.apply p2 Ast.Sin [ x ] base <> base in
+    let a = Mathlib.Perturb.apply1 p1 Ast.Sin x base <> base in
+    let b = Mathlib.Perturb.apply1 p2 Ast.Sin x base <> base in
     if a = b then incr agree
   done;
   (* independent coins agree about half the time *)
