@@ -214,3 +214,52 @@ let call ?(precision = Ast.F64) (flavor : Mathlib.Libm.flavor) fn args =
     | Some v, Ast.F32 -> apply ~grid cuda_fast32_profile fn args v
     | None, _ -> apply ~grid cuda_fast_other_profile fn args base
   end
+
+(* ---- agreement with Mathlib.Libm ---- *)
+
+let edges =
+  [| 0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan;
+     -.Float.nan; 4.9e-324; -4.9e-324; 0x0.fffffffffffffp-1022; 1e-310;
+     0x1p-1022; 1.0; -1.0; 2.0; -2.0; 0.5; -0.5; 3.0; 1e15; -1e15;
+     1.0000000000000002e15; 1e16; -3e20; 1e300; 1.5707963267948966;
+     3.141592653589793; 710.0; -745.0; 1024.0; 1025.0; -1075.0; -1076.0 |]
+
+let flavors =
+  Mathlib.Libm.
+    [ Glibc; Mpfr_fold; Llvm_fold; Cuda; Gcc_fast; Clang_fast; Cuda_fast ]
+
+(* The result's bits, or [None] when the call rejects its arity. *)
+let outcome f =
+  match f () with
+  | v -> Some (Int64.bits_of_float v)
+  | exception Invalid_argument _ -> None
+
+(* One (precision, flavor, function) cell: the direct entry point of
+   the function's arity, and the list dispatcher at every arity (the
+   wrong ones must be rejected alike), against the reference. *)
+let cell_agrees ~precision flavor fn x y =
+  let unary = Ast.math_fn_arity fn = 1 in
+  let reference args () = call ~precision flavor fn args in
+  let want = outcome (reference (if unary then [ x ] else [ x; y ])) in
+  let direct () =
+    if unary then Mathlib.Libm.call1 ~precision flavor fn x
+    else Mathlib.Libm.call2 ~precision flavor fn x y
+  in
+  want <> None
+  && outcome direct = want
+  && List.for_all
+       (fun args ->
+         outcome (fun () -> Mathlib.Libm.call ~precision flavor fn args)
+         = outcome (reference args))
+       [ []; [ x ]; [ x; y ]; [ x; y; x ] ]
+
+let agrees x y =
+  List.for_all
+    (fun precision ->
+      List.for_all
+        (fun flavor ->
+          Array.for_all
+            (fun fn -> cell_agrees ~precision flavor fn x y)
+            Ast.all_math_fns)
+        flavors)
+    [ Ast.F64; Ast.F32 ]

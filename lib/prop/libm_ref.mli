@@ -12,3 +12,15 @@ val call :
   Mathlib.Libm.flavor -> Lang.Ast.math_fn -> float list -> float
 (** One math-library call, computed the list-based way. Raises
     [Invalid_argument] on an arity mismatch. *)
+
+val edges : float array
+(** The arguments the kernels branch on: signed zeros and infinities,
+    NaNs of both signs, subnormals, the |x| > 1e15 cut where the fast
+    reduction gives up, exp2's overflow and underflow thresholds, and
+    zero or negative pow bases. *)
+
+val agrees : float -> float -> bool
+(** [agrees x y]: for every flavor, function and precision,
+    {!Mathlib.Libm.call1} (on [x]) or {!Mathlib.Libm.call2} (on [x, y])
+    returns the reference's bits, and {!Mathlib.Libm.call} matches the
+    reference at every arity, rejecting the wrong ones alike. *)

@@ -178,6 +178,20 @@ let test_all_suites_listed () =
       | None -> Alcotest.failf "find misses %s" s.Prop.Suites.name)
     Prop.Suites.all
 
+(* Every pair of edge arguments, exhaustively: the random suite draws
+   them too, but a signed-zero or NaN pair is too rare a draw to trust
+   a 25-case run with. *)
+let test_libm_edge_grid () =
+  Array.iter
+    (fun x ->
+      Array.iter
+        (fun y ->
+          if not (Prop.Libm_ref.agrees x y) then
+            Alcotest.failf "libm disagrees with the reference at x = %h, y = %h"
+              x y)
+        Prop.Libm_ref.edges)
+    Prop.Libm_ref.edges
+
 let () =
   Alcotest.run "prop"
     [
@@ -220,6 +234,7 @@ let () =
           suite_case "bleu-self";
           suite_case "codebleu-ref";
           suite_case "libm-ref";
+          Alcotest.test_case "libm-ref edge grid" `Quick test_libm_edge_grid;
           suite_case "vm-equiv";
           suite_case "fleet-merge";
         ] );
