@@ -988,11 +988,22 @@ let cmd_tables =
       prerr_endline "--csv needs --out DIR";
       exit 1
     end;
-    let sections =
+    let suite, sections =
       with_trace trace (fun () ->
           let suite = Harness.Experiments.run_suite ~budget ~jobs ~seed () in
-          Harness.Experiments.sections ~max_pairs ~jobs suite)
+          (suite, Harness.Experiments.sections ~max_pairs ~jobs suite))
     in
+    (* Wall-clock stays out of the sections, which are deterministic in
+       the seed. *)
+    Printf.eprintf "real compute:%s\n"
+      (String.concat ","
+         (Array.to_list
+            (Array.map
+               (fun a ->
+                 Printf.sprintf " %s %.1fs" (Harness.Approach.name a)
+                   (Harness.Experiments.outcome suite a)
+                     .Harness.Campaign.real_seconds)
+               Harness.Approach.all)));
     (match only with
     | None ->
       List.iter

@@ -332,12 +332,11 @@ let summary suite =
       Buffer.add_string b
         (Printf.sprintf
            "%-15s valid programs: %d/%d; feedback set: %d; simulated %s \
-            (llm %s); real compute %.1fs\n"
+            (llm %s)\n"
            (Approach.name o.approach)
            (List.length o.programs) o.budget o.successful
            (Util.Sim_clock.hms o.sim_seconds)
-           (Util.Sim_clock.hms o.llm_seconds)
-           o.real_seconds))
+           (Util.Sim_clock.hms o.llm_seconds)))
     (outcomes suite);
   Buffer.contents b
 

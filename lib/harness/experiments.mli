@@ -62,7 +62,10 @@ val table6 : suite -> string
 (** Within-compiler rates against 00_nofma. *)
 
 val summary : suite -> string
-(** Campaign header: compilers, flags, budget, seeds, model parameters. *)
+(** Campaign header: compilers, flags, budget, seeds, model parameters,
+    and each campaign's simulated time. Deterministic in the suite: the
+    measured wall-clock ({!Campaign.outcome} [real_seconds]) is left to
+    the caller. *)
 
 type section = {
   name : string;   (** e.g. ["table2"] — doubles as the CSV file stem *)
