@@ -427,11 +427,16 @@ let flatten (rt : Interp.runtime) (ir : Ir.t) =
     libm = rt.Interp.libm;
   }
 
-(* Flush-to-zero and storage rounding. Closed and inlined into the
-   loop, so the values they pass through stay unboxed unless the
-   runtime really flushes or rounds. *)
-let[@inline] flush ftz x = if ftz then Fp.Bits.flush_subnormal x else x
-let[@inline] prec f32 x = if f32 then Interp.round_f32 x else x
+(* Flush-to-zero and storage rounding, with the semantics of
+   [Fp.Bits.flush_subnormal] and [Interp.round_f32] spelled out here so
+   they inline into the loop: a call into another module would box
+   every operand it passes through. *)
+let[@inline] flush ftz x =
+  if ftz && Float.classify_float x = FP_subnormal then Float.copy_sign 0.0 x
+  else x
+
+let[@inline] prec f32 x =
+  if f32 then Int32.float_of_bits (Int32.bits_of_float x) else x
 
 (* The inner loop. Every register index in [code] was placed by
    [flatten] inside the file it sized, so register and code accesses
