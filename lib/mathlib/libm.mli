@@ -37,20 +37,27 @@ type flavor =
 
 val flavor_name : flavor -> string
 
-val call :
-  ?precision:Lang.Ast.precision ->
-  flavor -> Lang.Ast.math_fn -> float list -> float
-(** Evaluate one math-library call under a vendor flavor. [precision]
-    (default FP64) selects the divergence grid: single-precision library
-    functions disagree at {e float} ulps, and the device fast-math
-    intrinsics ([__sinf] etc.) carry a few float-ulps of their own error.
-    Raises [Invalid_argument] on arity mismatch. *)
-
 val call1 :
   ?precision:Lang.Ast.precision -> flavor -> Lang.Ast.math_fn -> float -> float
+(** Evaluate one single-argument math-library call under a vendor
+    flavor. [precision] (default FP64) selects the divergence grid:
+    single-precision library functions disagree at {e float} ulps, and
+    the device fast-math intrinsics ([__sinf] etc.) carry a few
+    float-ulps of their own error. Allocates nothing but the boxes of
+    its argument and result. Raises [Invalid_argument] when [fn] takes
+    two arguments. *)
+
 val call2 :
   ?precision:Lang.Ast.precision ->
   flavor -> Lang.Ast.math_fn -> float -> float -> float
+(** {!call1} for a two-argument function. Raises [Invalid_argument]
+    when [fn] takes one argument. *)
+
+val call :
+  ?precision:Lang.Ast.precision ->
+  flavor -> Lang.Ast.math_fn -> float list -> float
+(** {!call1} or {!call2} by the length of the argument list. Raises
+    [Invalid_argument] on an arity mismatch. *)
 
 val profiles_doc : string
 (** One-line-per-flavor description of the divergence model (salt,
