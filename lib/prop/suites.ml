@@ -151,7 +151,7 @@ let llm_program rng prompt =
     match Cparse.Parse.program source with
     | Ok p when Analysis.Validate.is_valid p -> p
     | _ when tries > 1 -> admit (tries - 1)
-    | _ -> Gen.Varity.generate rng (* the mock rarely errs twice *)
+    | _ -> Gen.Varity.generate rng (* never seen: the mock errs rarely *)
   in
   admit 8
 
@@ -178,7 +178,8 @@ let any_program =
   Engine.make
     ~shrink:(fun (kind, p) ->
       Seq.map (fun p' -> (kind, p')) (Arb.shrink_program p))
-    ~print:(fun (kind, p) -> Printf.sprintf "generator = %s\n%s" kind (Lang.Pp.to_c p))
+    ~print:(fun (kind, p) ->
+      Printf.sprintf "generator = %s\n%s" kind (Lang.Pp.to_c p))
     gen_any_program
 
 (* Canonical bytes: equal exactly when the two IRs are structurally
