@@ -304,22 +304,21 @@ let test_vm_flatten_rejects_bad_ir () =
   in
   check_bool "binding length mismatch" true
     (try ignore (Irsim.Vm.flatten strict_rt bad_binding); false
-     with Invalid_argument _ -> true)
-  ;
+     with Invalid_argument _ -> true);
+  (* a call whose argument count is not its function's arity *)
   List.iter
     (fun (fn, args) ->
-      let call =
-        { bad with
-          Irsim.Ir.body =
-            [ Irsim.Ir.Store (0, Irsim.Ir.Call (fn, List.map (fun v -> Irsim.Ir.Const v) args)) ] }
-      in
+      let store = Irsim.Ir.Store (0, Irsim.Ir.Call (fn, args)) in
       check_bool
-        (Printf.sprintf "%s with %d arguments" (Ast.math_fn_name fn) (List.length args))
+        (Printf.sprintf "%s with %d arguments" (Ast.math_fn_name fn)
+           (List.length args))
         true
-        (try ignore (Irsim.Vm.flatten strict_rt call); false
+        (try ignore (Irsim.Vm.flatten strict_rt { bad with body = [ store ] });
+           false
          with Invalid_argument msg -> Util.Text.contains_sub msg "Vm.flatten"))
-    [ (Ast.Sin, []); (Ast.Sin, [ 1.0; 2.0 ]); (Ast.Pow, [ 1.0 ]);
-      (Ast.Fmax, [ 1.0; 2.0; 3.0 ]) ]
+    Irsim.Ir.
+      [ (Ast.Sin, []); (Ast.Sin, [ Const 1.0; Const 2.0 ]);
+        (Ast.Pow, [ Const 1.0 ]); (Ast.Fmax, [ Const 1.0; Const 2.0; Const 3.0 ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Fold *)
